@@ -264,14 +264,13 @@ def cmd_track(config: RunConfig, dataset_path, checkpoint_path, out_dir):
     return 0
 
 
-def _ablation_variants(base: ModelConfig):
-    return [
-        ("single_frame", dict(n_in=1, n_out=1, fusion="early"), False),
-        ("early_fusion", dict(n_out=1, fusion="early"), False),
-        ("late_fusion", dict(n_out=1, fusion="late"), False),
-        ("late_fusion_forecast", dict(fusion="late"), False),
-        ("late_fusion_forecast_tracking", dict(fusion="late"), True),
-    ]
+ABLATION_VARIANTS = (
+    ("single_frame", dict(n_in=1, n_out=1, fusion="early"), False),
+    ("early_fusion", dict(n_out=1, fusion="early"), False),
+    ("late_fusion", dict(n_out=1, fusion="late"), False),
+    ("late_fusion_forecast", dict(fusion="late"), False),
+    ("late_fusion_forecast_tracking", dict(fusion="late"), True),
+)
 
 
 def tracklets_to_detections(records, dataset: Dataset):
@@ -296,7 +295,7 @@ def run_ablation(config: RunConfig, dataset: Dataset, val_dataset: Dataset = Non
 
     val = val_dataset or dataset
     rows = []
-    for name, overrides, with_tracking in _ablation_variants(config.model):
+    for name, overrides, with_tracking in ABLATION_VARIANTS:
         mcfg = ModelConfig.from_dict({**config.model.to_dict(), **overrides})
         model = Model(mcfg, seed=config.seed)
         anchors = build_anchors(mcfg)
@@ -362,7 +361,7 @@ def _write_ppm(path, img):
         f.write(np.flip(img, axis=0).astype(np.uint8).tobytes())
 
 
-def cmd_render(config: RunConfig, dataset_path, tracklets_path, out_dir, svg=False):
+def cmd_render(config: RunConfig, dataset_path, tracklets_path, out_dir):
     from .track import load_tracklets
 
     _prepare_out(out_dir, config)
@@ -392,24 +391,10 @@ def cmd_render(config: RunConfig, dataset_path, tracklets_path, out_dir, svg=Fal
                     dot = box_world_to_ego(RotatedBox(c[0], c[1], 0.1, 0.1, 0.0), pose)
                     _plot(img, dot.cx, dot.cy, color, grid, size=1)
         _write_ppm(os.path.join(out_dir, f"frame_{t:04d}.ppm"), img)
-        if svg:
-            _write_svg(os.path.join(out_dir, f"frame_{t:04d}.svg"), img)
     return 0
 
 
-def _write_svg(path, img):
-    h, w, _ = img.shape
-    with open(path, "w") as f:
-        f.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}">\n')
-        f.write(f'<rect width="{w}" height="{h}" fill="black"/>\n')
-        ys, xs = np.nonzero(img.sum(axis=2))
-        for y, x in zip(ys, xs):
-            r, g, b = img[y, x]
-            f.write(f'<rect x="{x}" y="{h - 1 - y}" width="1" height="1" fill="rgb({r},{g},{b})"/>\n')
-        f.write("</svg>\n")
-
-
-def cmd_bench(config: RunConfig, dataset_path, out_dir):
+def cmd_bench(config: RunConfig, out_dir):
     _prepare_out(out_dir, config)
     rng = np.random.default_rng(config.seed)
     # full-scale voxelization target: 144x80 m at 0.2 m, 29 height bins
@@ -488,9 +473,7 @@ def build_parser():
     sp = sub.add_parser("render")
     sp.add_argument("dataset")
     sp.add_argument("--tracklets")
-    sp.add_argument("--svg", action="store_true")
-    sp = sub.add_parser("bench")
-    sp.add_argument("--dataset")
+    sub.add_parser("bench")
     return p
 
 
@@ -509,9 +492,9 @@ def main(argv=None):
         if args.command == "ablate":
             return cmd_ablate(config, args.dataset, args.out, args.val_dataset)
         if args.command == "render":
-            return cmd_render(config, args.dataset, args.tracklets, args.out, svg=args.svg)
+            return cmd_render(config, args.dataset, args.tracklets, args.out)
         if args.command == "bench":
-            return cmd_bench(config, args.dataset, args.out)
+            return cmd_bench(config, args.out)
         raise ConfigError(f"unknown command {args.command}")
     except (ConfigError, FileNotFoundError, ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -256,7 +256,7 @@ class Model:
         self.params = params if params is not None else init_params(config, seed)
 
     def forward(self, inp: InputTensor, tape=None):
-        """Run the network; returns (HeadOutput, cls Tensor, reg Tensor).
+        """Run the network; returns (HeadOutput, cls logit Tensor, reg Tensor).
 
         With a tape the returned Tensors stay differentiable for the loss;
         without one this is a plain inference pass.
@@ -303,11 +303,11 @@ class Model:
             h = T.relu(h)
             return T.conv2d(h, p[f"head.{branch}.p.w"], p[f"head.{branch}.p.b"], pad=0)
 
-        cls = T.sigmoid(head("cls"))
+        logits = head("cls")
         I, J = cfg.feat_shape
         reg = T.reshape(head("reg"), (cfg.num_anchors, cfg.n_out, CODE_SIZE, I, J))
-        out = HeadOutput(cls=cls.data.copy(), reg=reg.data.copy())
-        return out, cls, reg
+        out = HeadOutput(cls=T.sigmoid_array(logits.data), reg=reg.data.copy())
+        return out, logits, reg
 
 
 def decode(output: HeadOutput, anchors: AnchorGrid, frame=0, score_thr=0.5, nms_thr=0.1):

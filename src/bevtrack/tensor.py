@@ -2,8 +2,9 @@
 
 Provides exactly the operators the BEV detection networks need: 2D/3D
 convolution, a shared-weight temporal collapse, max-pooling, sigmoid/relu,
-the two loss terms, and Adam. Everything is float64 and single-threaded;
-tensors are immutable values once created.
+the two loss terms, and Adam. Only operands recorded on the tape receive
+gradients. Everything is float64 and single-threaded; tensors are immutable
+values once created.
 """
 
 from __future__ import annotations
@@ -64,8 +65,7 @@ class Tape:
         self._nodes.append(tensor)
 
     def parameter(self, name, value):
-        t = Tensor(value, tape=self, name=name)
-        return t
+        return Tensor(value, tape=self, name=name)
 
 
 def _result_tape(*tensors):
@@ -77,6 +77,21 @@ def _result_tape(*tensors):
 
 def _as_array(x):
     return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+
+
+def _node(y, *operands):
+    """Result ``y`` of an op over ``(operand, grad_fn)`` pairs.
+
+    Off any tape the result is a plain Tensor. On a tape its parents are the
+    operands recorded there, and its VJP calls only their ``grad_fn``s, so no
+    gradient is computed for constants or for tensors off the tape.
+    """
+    tape = _result_tape(*(x for x, _ in operands))
+    if tape is None:
+        return Tensor(y)
+    taped = [(x, fn) for x, fn in operands if isinstance(x, Tensor) and x.tape is tape]
+    parents = tuple(x for x, _ in taped)
+    return Tensor(y, tape=tape, parents=parents, vjp=lambda g: [fn(g) for _, fn in taped])
 
 
 def backward(loss, tape):
@@ -98,8 +113,6 @@ def backward(loss, tape):
         if node.grad is None or node._vjp is None:
             continue
         for parent, pgrad in zip(node._parents, node._vjp(node.grad)):
-            if pgrad is None:
-                continue
             if parent.grad is None:
                 parent.grad = np.zeros_like(parent.data)
             parent.grad += pgrad
@@ -115,85 +128,48 @@ def backward(loss, tape):
 # elementwise and reduction ops
 
 
-def _unary(x, fwd, make_vjp):
-    tape = _result_tape(x)
-    y = fwd(_as_array(x))
-    if tape is None:
-        return Tensor(y)
-    return Tensor(y, tape=tape, parents=(x,), vjp=make_vjp(_as_array(x), y))
+def sigmoid_array(d):
+    """Logistic function of an array, with no overflow for large |d|."""
+    out = np.empty_like(d)
+    pos = d >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    e = np.exp(d[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
 
 
 def relu(x):
-    def make(xd, y):
-        return lambda g: ((xd > 0.0) * g,)
-
-    return _unary(x, lambda d: np.maximum(d, 0.0), make)
+    xd = _as_array(x)
+    return _node(np.maximum(xd, 0.0), (x, lambda g: (xd > 0.0) * g))
 
 
 def sigmoid(x):
-    def fwd(d):
-        out = np.empty_like(d)
-        pos = d >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-        e = np.exp(d[~pos])
-        out[~pos] = e / (1.0 + e)
-        return out
-
-    def make(xd, y):
-        return lambda g: (y * (1.0 - y) * g,)
-
-    return _unary(x, fwd, make)
+    y = sigmoid_array(_as_array(x))
+    return _node(y, (x, lambda g: y * (1.0 - y) * g))
 
 
 def add(a, b):
-    tape = _result_tape(a, b)
     ad, bd = _as_array(a), _as_array(b)
     if ad.shape != bd.shape:
         raise TensorError(f"add shape mismatch {ad.shape} vs {bd.shape}")
-    y = ad + bd
-    if tape is None:
-        return Tensor(y)
-    parents = tuple(t for t in (a, b) if isinstance(t, Tensor))
-    grads = lambda g: tuple(g for t in (a, b) if isinstance(t, Tensor))
-    return Tensor(y, tape=tape, parents=parents, vjp=grads)
+    return _node(ad + bd, (a, lambda g: g), (b, lambda g: g))
 
 
 def mul(a, b):
-    tape = _result_tape(a, b)
     ad, bd = _as_array(a), _as_array(b)
     if ad.shape != bd.shape:
         raise TensorError(f"mul shape mismatch {ad.shape} vs {bd.shape}")
-    y = ad * bd
-
-    if tape is None:
-        return Tensor(y)
-
-    def vjp(g):
-        out = []
-        if isinstance(a, Tensor):
-            out.append(g * bd)
-        if isinstance(b, Tensor):
-            out.append(g * ad)
-        return tuple(out)
-
-    parents = tuple(t for t in (a, b) if isinstance(t, Tensor))
-    return Tensor(y, tape=tape, parents=parents, vjp=vjp)
+    return _node(ad * bd, (a, lambda g: g * bd), (b, lambda g: g * ad))
 
 
 def scale(x, c):
     c = float(c)
-
-    def make(xd, y):
-        return lambda g: (c * g,)
-
-    return _unary(x, lambda d: c * d, make)
+    return _node(c * _as_array(x), (x, lambda g: c * g))
 
 
 def tensor_sum(x):
-    def make(xd, y):
-        return lambda g: (np.full_like(xd, float(g.reshape(()))),)
-
-    return _unary(x, lambda d: np.asarray(d.sum()), make)
+    xd = _as_array(x)
+    return _node(np.asarray(xd.sum()), (x, lambda g: np.full_like(xd, float(g.reshape(())))))
 
 
 def reshape(x, shape):
@@ -201,11 +177,7 @@ def reshape(x, shape):
     xd = _as_array(x)
     if int(np.prod(shape)) != xd.size:
         raise TensorError(f"cannot reshape {xd.shape} to {shape}")
-
-    def make(orig, y):
-        return lambda g: (g.reshape(orig.shape),)
-
-    return _unary(x, lambda d: d.reshape(shape), make)
+    return _node(xd.reshape(shape), (x, lambda g: g.reshape(xd.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -261,24 +233,16 @@ def conv2d(x, weights, bias, stride=1, pad=0):
     wmat = wd.reshape(c_out, c_in * kh * kw)
     y = (wmat @ cols).reshape(c_out, oh, ow) + bd[:, None, None]
 
-    tape = _result_tape(x, weights, bias)
-    if tape is None:
-        return Tensor(y)
+    def grad_x(g):
+        gcols = wmat.T @ g.reshape(c_out, oh * ow)
+        return _col2im(gcols, xd.shape, kh, kw, stride, pad, oh, ow)
 
-    def vjp(g):
-        gmat = g.reshape(c_out, oh * ow)
-        out = []
-        if isinstance(x, Tensor):
-            gcols = wmat.T @ gmat
-            out.append(_col2im(gcols, xd.shape, kh, kw, stride, pad, oh, ow))
-        if isinstance(weights, Tensor):
-            out.append((gmat @ cols.T).reshape(wd.shape))
-        if isinstance(bias, Tensor):
-            out.append(gmat.sum(axis=1))
-        return tuple(out)
-
-    parents = tuple(t for t in (x, weights, bias) if isinstance(t, Tensor))
-    return Tensor(y, tape=tape, parents=parents, vjp=vjp)
+    return _node(
+        y,
+        (x, grad_x),
+        (weights, lambda g: (g.reshape(c_out, oh * ow) @ cols.T).reshape(wd.shape)),
+        (bias, lambda g: g.reshape(c_out, oh * ow).sum(axis=1)),
+    )
 
 
 def conv3d(x, weights, bias, spatial_pad=0):
@@ -321,33 +285,24 @@ def conv3d(x, weights, bias, spatial_pad=0):
         y[:, to] = acc.reshape(c_out, oh, ow)
     y += bd[:, None, None, None]
 
-    tape = _result_tape(x, weights, bias)
-    if tape is None:
-        return Tensor(y)
+    def grad_x(g):
+        gx = np.zeros_like(xd)
+        for to in range(t_out):
+            gmat = g[:, to].reshape(c_out, oh * ow)
+            for dt in range(kt):
+                gcols = wmat[:, dt].T @ gmat
+                gx[:, to + dt] += _col2im(gcols, (c, h, w), kh, kw, 1, pad, oh, ow)
+        return gx
 
-    def vjp(g):
-        out = []
-        if isinstance(x, Tensor):
-            gx = np.zeros_like(xd)
-            for to in range(t_out):
-                gmat = g[:, to].reshape(c_out, oh * ow)
-                for dt in range(kt):
-                    gcols = wmat[:, dt].T @ gmat
-                    gx[:, to + dt] += _col2im(gcols, (c, h, w), kh, kw, 1, pad, oh, ow)
-            out.append(gx)
-        if isinstance(weights, Tensor):
-            gw = np.zeros((c_out, kt, c_in * kh * kw))
-            for to in range(t_out):
-                gmat = g[:, to].reshape(c_out, oh * ow)
-                for dt in range(kt):
-                    gw[:, dt] += gmat @ cols[to + dt].T
-            out.append(gw.reshape(c_out, kt, c_in, kh, kw).transpose(0, 2, 1, 3, 4))
-        if isinstance(bias, Tensor):
-            out.append(g.sum(axis=(1, 2, 3)))
-        return tuple(out)
+    def grad_w(g):
+        gw = np.zeros((c_out, kt, c_in * kh * kw))
+        for to in range(t_out):
+            gmat = g[:, to].reshape(c_out, oh * ow)
+            for dt in range(kt):
+                gw[:, dt] += gmat @ cols[to + dt].T
+        return gw.reshape(c_out, kt, c_in, kh, kw).transpose(0, 2, 1, 3, 4)
 
-    parents = tuple(t_ for t_ in (x, weights, bias) if isinstance(t_, Tensor))
-    return Tensor(y, tape=tape, parents=parents, vjp=vjp)
+    return _node(y, (x, grad_x), (weights, grad_w), (bias, lambda g: g.sum(axis=(1, 2, 3))))
 
 
 def temporal_group_conv(x, weights):
@@ -361,20 +316,11 @@ def temporal_group_conv(x, weights):
         )
     y = np.tensordot(wd, xd, axes=(0, 0))
 
-    tape = _result_tape(x, weights)
-    if tape is None:
-        return Tensor(y)
-
-    def vjp(g):
-        out = []
-        if isinstance(x, Tensor):
-            out.append(wd[:, None, None, None] * g[None])
-        if isinstance(weights, Tensor):
-            out.append(np.tensordot(xd, g, axes=((1, 2, 3), (0, 1, 2))))
-        return tuple(out)
-
-    parents = tuple(t for t in (x, weights) if isinstance(t, Tensor))
-    return Tensor(y, tape=tape, parents=parents, vjp=vjp)
+    return _node(
+        y,
+        (x, lambda g: wd[:, None, None, None] * g[None]),
+        (weights, lambda g: np.tensordot(xd, g, axes=((1, 2, 3), (0, 1, 2)))),
+    )
 
 
 def maxpool2d(x, k=2, stride=2):
@@ -393,47 +339,36 @@ def maxpool2d(x, k=2, stride=2):
     arg = win.argmax(axis=3)  # first occurrence == lowest flat index
     y = np.take_along_axis(win, arg[..., None], axis=3)[..., 0]
 
-    tape = _result_tape(x)
-    if tape is None:
-        return Tensor(y)
-
-    def vjp(g):
+    def grad_x(g):
         gx = np.zeros_like(xd)
         ci, oi, oj = np.meshgrid(np.arange(c), np.arange(oh), np.arange(ow), indexing="ij")
         hi = oi * k + arg // k
         wi = oj * k + arg % k
         np.add.at(gx, (ci, hi, wi), g)
-        return (gx,)
+        return gx
 
-    return Tensor(y, tape=tape, parents=(x,), vjp=vjp)
+    return _node(y, (x, grad_x))
 
 
 # ---------------------------------------------------------------------------
 # losses
 
 
-def bce_loss(p, q, mask):
-    """Masked binary cross-entropy; p must lie strictly inside (0,1)."""
-    pd = _as_array(p)
+def bce_loss(z, q, mask):
+    """Masked binary cross-entropy of logits: sum(mask * (log(1 + e^z) - q*z))."""
+    zd = _as_array(z)
     qd = np.asarray(q, dtype=np.float64)
     md = np.asarray(mask, dtype=np.float64)
-    if pd.shape != qd.shape or pd.shape != md.shape:
+    if zd.shape != qd.shape or zd.shape != md.shape:
         raise TensorError(
-            f"bce_loss shape mismatch: p{pd.shape} q{qd.shape} mask{md.shape}"
+            f"bce_loss shape mismatch: z{zd.shape} q{qd.shape} mask{md.shape}"
         )
-    if np.any((pd <= 0.0) | (pd >= 1.0)):
-        raise TensorError("bce_loss probabilities must lie strictly in (0,1)")
-    y = -np.sum(md * (qd * np.log(pd) + (1.0 - qd) * np.log(1.0 - pd)))
+    y = np.sum(md * (np.logaddexp(0.0, zd) - qd * zd))
 
-    tape = _result_tape(p)
-    if tape is None:
-        return Tensor(y)
+    def grad_z(g):
+        return float(g.reshape(())) * md * (sigmoid_array(zd) - qd)
 
-    def vjp(g):
-        s = float(np.asarray(g).reshape(()))
-        return (s * md * ((1.0 - qd) / (1.0 - pd) - qd / pd),)
-
-    return Tensor(np.asarray(y), tape=tape, parents=(p,), vjp=vjp)
+    return _node(y, (z, grad_z))
 
 
 def smooth_l1(pred, target, mask):
@@ -450,15 +385,10 @@ def smooth_l1(pred, target, mask):
     phi = np.where(small, 0.5 * d * d, np.abs(d) - 0.5)
     y = np.sum(md * phi)
 
-    tape = _result_tape(pred)
-    if tape is None:
-        return Tensor(y)
+    def grad_pred(g):
+        return float(g.reshape(())) * md * np.where(small, d, np.sign(d))
 
-    def vjp(g):
-        s = float(np.asarray(g).reshape(()))
-        return (s * md * np.where(small, d, np.sign(d)),)
-
-    return Tensor(np.asarray(y), tape=tape, parents=(pred,), vjp=vjp)
+    return _node(y, (pred, grad_pred))
 
 
 # ---------------------------------------------------------------------------

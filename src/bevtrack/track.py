@@ -50,7 +50,12 @@ class _Candidate:
 
 
 class TrackletDecoder:
-    """Stateful per-stream decoder; ids are never reused."""
+    """Stateful per-stream decoder; ids are never reused, nor shared within a frame.
+
+    Groups claim ids in score order: each takes the smallest of its buffered
+    ids not yet claimed at the frame. A group left without one takes a new id
+    if it holds a current detection and is dropped otherwise.
+    """
 
     def __init__(self, n_out, match_thr=0.5, score_decay=0.9, max_coast=None):
         self.n_out = n_out
@@ -102,12 +107,18 @@ class TrackletDecoder:
 
         emitted = []
         keep_buffered = []
+        claimed = set()  # ids emitted at this frame; groups claim them in score order
         for group in groups:
-            ids = [c.track_id for c in group if c.track_id >= 0]
-            tid = min(ids) if ids else self._new_id()
+            free = [c.track_id for c in group if c.track_id >= 0 and c.track_id not in claimed]
+            has_current = any(c.age == 0 for c in group)
+            if free:
+                tid = min(free)
+            elif has_current:
+                tid = self._new_id()
+            else:
+                continue  # only repeats tracks already emitted at this frame
             box = _average_boxes([c.box for c in group])
             score = max(c.score for c in group)
-            has_current = any(c.age == 0 for c in group)
             if has_current:
                 self._misses[tid] = 0
                 status = LIVE
@@ -116,6 +127,7 @@ class TrackletDecoder:
                 if self._misses[tid] > self.max_coast:
                     continue
                 status = COASTING
+            claimed.add(tid)
             emitted.append(TrackletFrame(frame=frame, track_id=tid, box=box, score=score, status=status))
             for c in group:
                 if c.age == 0:
@@ -124,6 +136,9 @@ class TrackletDecoder:
         self._buffer.append((frame, keep_buffered))
         # keep only frames whose forecasts can still address a future frame
         self._buffer = [(f, b) for f, b in self._buffer if frame + 1 - f < self.n_out]
+        # an id no longer buffered can never come back, so its miss count goes too
+        buffered = {b.track_id for _f, bs in self._buffer for b in bs}
+        self._misses = {tid: n for tid, n in self._misses.items() if tid in buffered}
         return emitted
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .geom import RotatedBox, iou
+from .geom import iou
 from .net import CODE_SIZE, AnchorGrid, Model, encode_box
 from .voxel import InputTensor
 
@@ -59,11 +59,6 @@ class TrainConfig:
             raise ValueError("milestones must be fractions in (0, 1)")
         if self.hnm_ratio < 1:
             raise ValueError("hnm_ratio must be >= 1")
-
-
-def encode_regression(anchor: RotatedBox, gt: RotatedBox):
-    """6-vector regression target of a ground-truth box against an anchor."""
-    return encode_box(anchor, gt)
 
 
 def assign_targets(anchors: AnchorGrid, objects, n_out, iou_thr=0.4):
@@ -134,10 +129,13 @@ def mine_hard_negatives(cls_scores, labels, ratio=3):
     return mask.reshape(np.shape(cls_scores)).astype(np.float64)
 
 
-def total_loss(cls_tensor, reg_tensor, assignment: TargetAssignment, alpha=1.0, hnm_ratio=3):
-    """alpha * masked BCE + smooth-L1 over positive anchors' valid timestamps."""
-    cls_mask = mine_hard_negatives(cls_tensor.data, assignment.labels, hnm_ratio)
-    cls_loss = T.bce_loss(cls_tensor, assignment.labels, cls_mask)
+def total_loss(cls_logits, reg_tensor, assignment: TargetAssignment, alpha=1.0, hnm_ratio=3):
+    """alpha * masked BCE on the logits + smooth-L1 over positive anchors' valid timestamps.
+
+    Negatives are mined on the logits, which rank anchors as their probabilities do.
+    """
+    cls_mask = mine_hard_negatives(cls_logits.data, assignment.labels, hnm_ratio)
+    cls_loss = T.bce_loss(cls_logits, assignment.labels, cls_mask)
 
     pos = (assignment.labels > 0.5).astype(np.float64)
     reg_mask = (assignment.valid * pos[:, None]) [:, :, None]  # [K,n_out,1,I,J]

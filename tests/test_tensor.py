@@ -296,36 +296,47 @@ class TestActivations:
 
 class TestBce:
     def test_saturating_correct_predictions_vanish(self):
-        p = np.array([1e-9, 1.0 - 1e-9])
-        q = np.array([0.0, 1.0])
-        loss = T.bce_loss(T.Tensor(p), q, np.ones(2))
+        loss = T.bce_loss(T.Tensor([-40.0, 40.0]), np.array([0.0, 1.0]), np.ones(2))
         assert loss.item() < 1e-8
 
     def test_half_probability_positive_is_log2(self):
-        loss = T.bce_loss(T.Tensor([0.5]), np.array([1.0]), np.ones(1))
+        # logit 0 is probability 1/2
+        loss = T.bce_loss(T.Tensor([0.0]), np.array([1.0]), np.ones(1))
         assert math.isclose(loss.item(), math.log(2.0), rel_tol=1e-12)
 
     def test_empty_mask_is_zero(self):
-        loss = T.bce_loss(T.Tensor([0.3, 0.7]), np.array([1.0, 0.0]), np.zeros(2))
+        loss = T.bce_loss(T.Tensor([0.3, -0.7]), np.array([1.0, 0.0]), np.zeros(2))
         assert loss.item() == 0.0
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(TensorError, match="strictly"):
-            T.bce_loss(T.Tensor([1.0]), np.array([1.0]), np.ones(1))
+    def test_matches_probability_form(self):
+        z = np.array([-3.0, -0.5, 0.25, 2.0])
+        q = np.array([1.0, 0.0, 1.0, 0.0])
+        p = 1.0 / (1.0 + np.exp(-z))
+        expect = -np.sum(q * np.log(p) + (1.0 - q) * np.log(1.0 - p))
+        assert math.isclose(T.bce_loss(T.Tensor(z), q, np.ones(4)).item(), expect, rel_tol=1e-12)
+
+    def test_confident_wrong_logits_stay_finite(self):
+        # sigmoid(40.0) rounds to exactly 1.0; the loss on logits does not care
+        tape = T.Tape()
+        z = tape.parameter("z", np.array([40.0, -40.0, 800.0, -800.0]))
+        loss = T.bce_loss(z, np.array([0.0, 1.0, 0.0, 1.0]), np.ones(4))
+        assert math.isclose(loss.item(), 1680.0, rel_tol=1e-12)
+        T.backward(loss, tape)
+        np.testing.assert_array_equal(tape.param_grads["z"], [1.0, -1.0, 1.0, -1.0])
 
     def test_gradients(self):
         rng = np.random.default_rng(10)
-        p0 = rng.uniform(0.1, 0.9, size=5)
+        z0 = rng.normal(scale=3.0, size=5)
         q = (rng.uniform(size=5) > 0.5).astype(float)
 
         def f(arrays):
             tape = T.Tape()
-            loss = T.bce_loss(tape.parameter("p", arrays[0]), q, np.ones(5))
+            loss = T.bce_loss(tape.parameter("z", arrays[0]), q, np.ones(5))
             val = loss.item()
             T.backward(loss, tape)
-            return val, [tape.param_grads["p"]]
+            return val, [tape.param_grads["z"]]
 
-        finite_diff_check(f, [p0])
+        finite_diff_check(f, [z0])
 
 
 class TestSmoothL1:
@@ -396,6 +407,24 @@ class TestBackward:
         T.backward(loss, tape)
         with pytest.raises(TensorError, match="twice"):
             T.backward(loss, tape)
+
+    def test_off_tape_operand_gets_no_gradient(self):
+        rng = np.random.default_rng(14)
+        tape = T.Tape()
+        x = T.Tensor(rng.standard_normal((1, 3, 4, 4)))
+        w = tape.parameter("w", rng.standard_normal((2, 1, 3, 3, 3)))
+        b = tape.parameter("b", rng.standard_normal(2))
+        y = T.conv3d(x, w, b, spatial_pad=1)
+        T.backward(T.tensor_sum(T.mul(y, y)), tape)
+        assert x.grad is None
+        assert y._parents == (w, b)
+        assert tape.param_grads["w"].shape == w.shape and np.any(tape.param_grads["w"])
+
+    def test_operands_on_two_tapes_rejected(self):
+        a = T.Tape().parameter("a", np.ones(2))
+        b = T.Tape().parameter("b", np.ones(2))
+        with pytest.raises(TensorError, match="different tapes"):
+            T.add(a, b)
 
     def test_off_tape_tensor_rejected(self):
         tape = T.Tape()

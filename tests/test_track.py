@@ -114,6 +114,33 @@ class TestIds:
         assert seen == sorted(seen)
         assert len(set(seen)) == 5  # no reuse: objects never overlap
 
+    def test_two_forecasts_of_one_track_emit_one_id(self):
+        # frame 0 and frame 1 forecast track 0 to disjoint spots at frame 2
+        d = TrackletDecoder(n_out=3)
+        d.step(ds(0, [det(0, 0, vx=1.0)]), 0)
+        d.step(ds(1, [det(1.0, 0, vx=5.0)]), 1)
+        out = d.step(ds(2, []), 2)
+        assert [(r.track_id, r.status) for r in out] == [(0, COASTING)]
+        assert out[0].box.cx == pytest.approx(6.0)  # the fresher, higher-scoring forecast
+
+    def test_group_left_without_an_id_takes_a_new_one_for_a_detection(self):
+        d = TrackletDecoder(n_out=3)
+        d.step(ds(0, [det(0, 0, vx=1.0)]), 0)
+        d.step(ds(1, [det(1.0, 0, vx=5.0)]), 1)
+        # the detection joins the older forecast, whose id the fresher one claimed
+        out = d.step(ds(2, [det(2.0, 0, score=0.5)]), 2)
+        assert sorted((r.track_id, r.status) for r in out) == [(0, COASTING), (1, LIVE)]
+
+    def test_miss_counts_stay_bounded_over_a_long_stream(self):
+        d = TrackletDecoder(n_out=3)
+        sizes = []
+        for f in range(10_000):
+            # one persistent track plus one that jumps away, and so ends, every frame
+            d.step(ds(f, [det(0, 30), det(40.0 * (f % 7), 0)]), f)
+            sizes.append(len(d._misses))
+        assert d._next_id > 5_000
+        assert max(sizes) == max(sizes[:10]) <= 3
+
     def test_decode_tracklets_matches_manual_stepping(self):
         sets = [ds(0, [det(0, 0, vx=1.0)]), ds(1, [det(1, 0, vx=1.0)]), ds(2, [])]
         records = decode_tracklets(sets, n_out=3)

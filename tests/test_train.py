@@ -11,7 +11,6 @@ from bevtrack.train import (
     Sample,
     TrainConfig,
     assign_targets,
-    encode_regression,
     format_log_line,
     lr_at,
     mine_hard_negatives,
@@ -81,11 +80,6 @@ class TestAssign:
         with pytest.raises(ValueError, match="current-frame"):
             assign_targets(self.anchors, [GtObject(0, [None])], n_out=1)
 
-    def test_encode_regression_alias(self):
-        a = RotatedBox(0, 0, 5, 5, 0)
-        g = RotatedBox(1, 2, 4, 6, 0.3)
-        np.testing.assert_array_equal(encode_regression(a, g), encode_box(a, g))
-
 
 class TestMining:
     def test_three_to_one_ratio(self):
@@ -132,10 +126,9 @@ class TestLoss:
         anchors = build_anchors(model.config)
         a = assign_targets(anchors, [GtObject(0, [RotatedBox(0, 0, 5, 5, 0)])], n_out=1)
         tape = T.Tape()
-        # build exact predictions: probabilities = labels clipped, codes = targets
+        # build exact predictions: logits of the labels clipped, codes = targets
         p = np.clip(a.labels, 1e-9, 1 - 1e-9)
         cls_t = T.Tensor(np.log(p / (1 - p)), tape=tape)
-        cls_t = T.sigmoid(cls_t)
         reg_t = T.Tensor(a.targets.copy(), tape=tape)
         loss, comps = total_loss(cls_t, reg_t, a)
         assert comps["reg"] == 0.0
@@ -151,7 +144,7 @@ class TestLoss:
         vals = {}
         for alpha in (1.0, 2.0):
             tape = T.Tape()
-            cls_t = T.sigmoid(T.Tensor(logits.copy(), tape=tape))
+            cls_t = T.Tensor(logits.copy(), tape=tape)
             reg_t = T.Tensor(codes.copy(), tape=tape)
             _, comps = total_loss(cls_t, reg_t, a, alpha=alpha)
             vals[alpha] = comps
@@ -159,6 +152,19 @@ class TestLoss:
         assert vals[2.0]["total"] - vals[2.0]["reg"] == pytest.approx(
             2.0 * (vals[1.0]["total"] - vals[1.0]["reg"])
         )
+
+    def test_confident_logits_keep_the_loss_finite(self):
+        model = micro_model()
+        anchors = build_anchors(model.config)
+        a = assign_targets(anchors, [GtObject(0, [RotatedBox(0, 0, 5, 5, 0)])], n_out=1)
+        tape = T.Tape()
+        # every anchor confidently positive: sigmoid rounds these logits to 1.0
+        cls_t = T.Tensor(np.full(a.labels.shape, 40.0), tape=tape)
+        reg_t = T.Tensor(a.targets.copy(), tape=tape)
+        loss, comps = total_loss(cls_t, reg_t, a)
+        assert math.isfinite(comps["total"]) and comps["cls"] > 0.0
+        T.backward(loss, tape)
+        assert np.all(np.isfinite(cls_t.grad))
 
     def test_smooth_l1_cases(self):
         # piecewise values: 0.5 -> 0.125, 2.0 -> 1.5

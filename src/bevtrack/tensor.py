@@ -121,6 +121,9 @@ def backward(loss, tape):
             tape.param_grads[node.name] = (
                 node.grad if node.grad is not None else np.zeros_like(node.data)
             )
+    # Each node refers back to the tape, so the node list is a reference
+    # cycle; drop it to free the forward's buffers now, not at the next GC.
+    tape._nodes = []
     return tape.param_grads
 
 
@@ -189,10 +192,11 @@ def _im2col(x, kh, kw, stride, pad):
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (w + 2 * pad - kw) // stride + 1
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    win = win[:, ::stride, ::stride]  # [C, oh, ow, kh, kw]
-    cols = win.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, oh * ow)
-    return np.ascontiguousarray(cols), oh, ow
+    cols = np.empty((c, kh, kw, oh, ow))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xp[:, i : i + oh * stride : stride, j : j + ow * stride : stride]
+    return cols.reshape(c * kh * kw, oh * ow), oh, ow
 
 
 def _col2im(cols, x_shape, kh, kw, stride, pad, oh, ow):

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -407,6 +409,24 @@ class TestBackward:
         T.backward(loss, tape)
         with pytest.raises(TensorError, match="twice"):
             T.backward(loss, tape)
+
+    def test_backward_frees_the_forward_without_gc(self):
+        tape = T.Tape()
+        p = tape.parameter("p", np.ones((2, 4, 4)))
+        w = tape.parameter("w", np.ones((3, 2, 3, 3)))
+        b = tape.parameter("b", np.zeros(3))
+        y = T.relu(T.conv2d(p, w, b, pad=1))
+        activation = weakref.ref(y.data)
+        loss = T.tensor_sum(T.mul(y, y))
+        del y
+        gc.disable()
+        try:
+            T.backward(loss, tape)
+            del loss
+            assert activation() is None
+        finally:
+            gc.enable()
+        assert tape.param_grads["w"].shape == (3, 2, 3, 3)
 
     def test_off_tape_operand_gets_no_gradient(self):
         rng = np.random.default_rng(14)

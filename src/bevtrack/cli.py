@@ -9,22 +9,24 @@ import os
 import platform
 import sys
 import time
-from dataclasses import fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from . import tensor as T
+from .config import ConfigError, from_dict, to_dict
+from .geom import RotatedBox
 from .metrics import EvalConfig, write_report
-from .net import DetectionSet, Detection, Model, ModelConfig, build_anchors
+from .net import Model, ModelConfig, build_anchors, init_params
 from .pipeline import (
     detect_dataset,
     evaluate_detection,
     evaluate_forecast,
     evaluate_tracking,
+    run_ablation,
 )
 from .sim import (
-    Dataset,
     SimConfig,
     box_world_to_ego,
     export_dataset,
@@ -32,9 +34,9 @@ from .sim import (
     import_dataset,
     make_samples,
 )
-from .track import decode_tracklets, dump_tracklets
+from .track import dump_tracklets, load_tracklets
 from .train import TrainConfig, format_log_line, train
-from .voxel import GridSpec, voxelize
+from .voxel import GridSpec, InputTensor, voxelize
 
 
 DEFAULT_CONFIG = {
@@ -58,82 +60,19 @@ DEFAULT_CONFIG = {
 }
 
 
-class ConfigError(ValueError):
-    pass
-
-
-def _check_keys(section, d, allowed):
-    unknown = set(d) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) in '{section}': {sorted(unknown)}")
-
-
+@dataclass
 class RunConfig:
     """Unified run configuration resolved from file + overrides."""
 
-    def __init__(self, raw):
-        _check_keys("(top level)", raw, {"seed", "grid", "model", "train", "sim", "eval"})
-        merged = json.loads(json.dumps(DEFAULT_CONFIG))
-        for k, v in raw.items():
-            if isinstance(v, dict):
-                merged[k].update(v)
-            else:
-                merged[k] = v
-        self.seed = int(merged["seed"])
-
-        g = merged["grid"]
-        _check_keys("grid", g, {"x_range", "y_range", "z_range", "cell"})
-        self.grid = GridSpec(
-            x_range=tuple(g["x_range"]),
-            y_range=tuple(g["y_range"]),
-            z_range=tuple(g["z_range"]),
-            cell=g["cell"],
-        )
-
-        m = merged["model"]
-        _check_keys("model", m, {"n_in", "n_out", "fusion", "widths", "head_width", "anchor_specs"})
-        self.model = ModelConfig(grid=self.grid, **{
-            k: (tuple(v) if isinstance(v, list) else v) for k, v in m.items()
-        })
-
-        tr = dict(merged["train"])
-        _check_keys("train", tr, {f.name for f in fields(TrainConfig)})
-        tr.setdefault("seed", self.seed)
-        if "milestones" in tr:
-            tr["milestones"] = tuple(tr["milestones"])
-        self.train = TrainConfig(**tr)
-
-        sm = dict(merged["sim"])
-        _check_keys("sim", sm, {f.name for f in fields(SimConfig)})
-        sm.setdefault("seed", self.seed)
-        self.sim = SimConfig.from_dict(sm)
-
-        ev = dict(merged["eval"])
-        _check_keys("eval", ev, {f.name for f in fields(EvalConfig)})
-        for key in ("iou_thresholds", "distance_bins", "forecast_horizons"):
-            if key in ev:
-                ev[key] = tuple(ev[key])
-        self.eval = EvalConfig(**ev)
+    seed: int
+    grid: GridSpec
+    model: ModelConfig
+    train: TrainConfig
+    sim: SimConfig
+    eval: EvalConfig
 
     def resolved(self):
-        return {
-            "version": __version__,
-            "seed": self.seed,
-            "grid": {
-                "x_range": list(self.grid.x_range),
-                "y_range": list(self.grid.y_range),
-                "z_range": list(self.grid.z_range),
-                "cell": self.grid.cell,
-            },
-            "model": self.model.to_dict(),
-            "train": {f.name: _jsonable(getattr(self.train, f.name)) for f in fields(TrainConfig)},
-            "sim": self.sim.to_dict(),
-            "eval": {f.name: _jsonable(getattr(self.eval, f.name)) for f in fields(EvalConfig)},
-        }
-
-
-def _jsonable(v):
-    return list(v) if isinstance(v, tuple) else v
+        return {"version": __version__, **to_dict(self)}
 
 
 def _apply_set(raw, assignments):
@@ -149,6 +88,8 @@ def _apply_set(raw, assignments):
         parts = key.split(".")
         for p in parts[:-1]:
             node = node.setdefault(p, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"--set {key}: '{p}' is not an object")
         node[parts[-1]] = parsed
     return raw
 
@@ -161,10 +102,25 @@ def load_run_config(path, seed=None, assignments=()):
             raw = json.load(f)
     else:
         raw = {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config file must hold a JSON object: {path}")
     raw = _apply_set(raw, assignments)
     if seed is not None:
         raw["seed"] = seed
-    return RunConfig(raw)
+    merged = json.loads(json.dumps(DEFAULT_CONFIG))
+    for k, v in raw.items():
+        if isinstance(v, dict) and isinstance(merged.get(k), dict):
+            merged[k].update(v)
+        else:
+            merged[k] = v
+    if isinstance(merged["model"], dict):
+        if "grid" in merged["model"]:
+            raise ConfigError("unknown key(s) in 'model': ['grid'] (the grid is set at the top level)")
+        merged["model"]["grid"] = merged["grid"]
+    for section in ("train", "sim"):
+        if isinstance(merged[section], dict):
+            merged[section].setdefault("seed", merged["seed"])
+    return from_dict(RunConfig, merged)
 
 
 def _prepare_out(out_dir, config: RunConfig):
@@ -201,9 +157,7 @@ def cmd_train(config: RunConfig, dataset_path, out_dir):
             config.train,
             log_fn=lambda rec: logf.write(format_log_line(rec) + "\n"),
         )
-    T.save_checkpoint(
-        os.path.join(out_dir, "checkpoint.bin"), model.params, config.model.to_dict()
-    )
+    T.save_checkpoint(os.path.join(out_dir, "checkpoint.bin"), model.params, to_dict(config.model))
     return 0
 
 
@@ -213,11 +167,14 @@ def _load_model(config: RunConfig, checkpoint_path):
     params, saved_cfg = T.load_checkpoint(checkpoint_path)
     if saved_cfg is None:
         raise ConfigError("checkpoint carries no model config")
-    if saved_cfg != config.model.to_dict():
+    if saved_cfg != to_dict(config.model):
         raise ConfigError(
             "checkpoint/config mismatch: the checkpoint was trained with a different model config"
         )
-    return Model(ModelConfig.from_dict(saved_cfg), params=params)
+    shapes = {name: v.shape for name, v in init_params(config.model).items()}
+    if {name: v.shape for name, v in params.items()} != shapes:
+        raise ConfigError("checkpoint parameters do not match the model config")
+    return Model(config.model, params=params)
 
 
 def cmd_eval(config: RunConfig, dataset_path, checkpoint_path, out_dir):
@@ -264,60 +221,11 @@ def cmd_track(config: RunConfig, dataset_path, checkpoint_path, out_dir):
     return 0
 
 
-ABLATION_VARIANTS = (
-    ("single_frame", dict(n_in=1, n_out=1, fusion="early"), False),
-    ("early_fusion", dict(n_out=1, fusion="early"), False),
-    ("late_fusion", dict(n_out=1, fusion="late"), False),
-    ("late_fusion_forecast", dict(fusion="late"), False),
-    ("late_fusion_forecast_tracking", dict(fusion="late"), True),
-)
-
-
-def tracklets_to_detections(records, dataset: Dataset):
-    """Aggregated tracklet boxes re-expressed as per-frame ego detections."""
-    by_frame = {}
-    for r in records:
-        by_frame.setdefault(r.frame, []).append(r)
-    sets = []
-    for f in sorted(by_frame):
-        pose = dataset.frames[f].pose
-        dets = [
-            Detection(score=r.score, boxes=[box_world_to_ego(r.box, pose)], track_id=r.track_id)
-            for r in by_frame[f]
-        ]
-        sets.append(DetectionSet(frame=f, detections=dets))
-    return sets
-
-
-def run_ablation(config: RunConfig, dataset: Dataset, val_dataset: Dataset = None):
-    """Train and evaluate the five-variant ladder; returns rows of AP tables."""
-    from .pipeline import detections_to_world
-
-    val = val_dataset or dataset
-    rows = []
-    for name, overrides, with_tracking in ABLATION_VARIANTS:
-        mcfg = ModelConfig.from_dict({**config.model.to_dict(), **overrides})
-        model = Model(mcfg, seed=config.seed)
-        anchors = build_anchors(mcfg)
-        samples, _ = make_samples(dataset, config.grid, mcfg.n_in, mcfg.n_out)
-        train(samples, model, anchors, config.train)
-        sets = detect_dataset(
-            model, anchors, val, score_thr=config.eval.score_thr, nms_thr=config.eval.nms_thr
-        )
-        if with_tracking:
-            world = detections_to_world(sets, val)
-            decoded = decode_tracklets(world, mcfg.n_out)
-            sets = tracklets_to_detections(decoded, val)
-        report = evaluate_detection(sets, val, config.eval)
-        rows.append({"variant": name, "ap_by_iou": report["ap_by_iou"]})
-    return rows
-
-
 def cmd_ablate(config: RunConfig, dataset_path, out_dir, val_dataset_path=None):
     _prepare_out(out_dir, config)
     dataset = import_dataset(dataset_path)
     val = import_dataset(val_dataset_path) if val_dataset_path else None
-    rows = run_ablation(config, dataset, val)
+    rows = run_ablation(config.model, config.train, config.eval, config.seed, dataset, val)
     write_report(os.path.join(out_dir, "ablation.json"), {"rows": rows})
     return 0
 
@@ -362,8 +270,6 @@ def _write_ppm(path, img):
 
 
 def cmd_render(config: RunConfig, dataset_path, tracklets_path, out_dir):
-    from .track import load_tracklets
-
     _prepare_out(out_dir, config)
     dataset = import_dataset(dataset_path)
     records = load_tracklets(tracklets_path) if tracklets_path else []
@@ -386,8 +292,6 @@ def cmd_render(config: RunConfig, dataset_path, tracklets_path, out_dir):
             for h in range(horizon):
                 c = track_centers.get(r.track_id, {}).get(t + h)
                 if c is not None:
-                    from .geom import RotatedBox
-
                     dot = box_world_to_ego(RotatedBox(c[0], c[1], 0.1, 0.1, 0.0), pose)
                     _plot(img, dot.cx, dot.cy, color, grid, size=1)
         _write_ppm(os.path.join(out_dir, f"frame_{t:04d}.ppm"), img)
@@ -416,8 +320,6 @@ def cmd_bench(config: RunConfig, out_dir):
     model = Model(config.model, seed=config.seed)
     anchors = build_anchors(config.model)
     occ = np.zeros((config.model.n_in, config.grid.nz, config.grid.nx, config.grid.ny))
-    from .voxel import InputTensor
-
     model.forward(InputTensor(occ))  # warm up
     t0 = time.perf_counter()
     for _ in range(3):
@@ -496,7 +398,7 @@ def main(argv=None):
         if args.command == "bench":
             return cmd_bench(config, args.out)
         raise ConfigError(f"unknown command {args.command}")
-    except (ConfigError, FileNotFoundError, ValueError, RuntimeError) as e:
+    except (OSError, ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 # Intersections thinner than this are treated as empty so that edge-touching
 # boxes never register as overlapping.
 MIN_INTERSECTION_AREA = 1e-12
@@ -56,13 +54,6 @@ class RotatedBox:
             (self.cx - ux - vx, self.cy - uy - vy),
             (self.cx + ux - vx, self.cy + uy - vy),
         ]
-
-    def contains(self, px, py):
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        dx, dy = px - self.cx, py - self.cy
-        lon = c * dx + s * dy
-        lat = -s * dx + c * dy
-        return abs(lon) <= self.h / 2.0 and abs(lat) <= self.w / 2.0
 
 
 def polygon_area(vertices):
@@ -148,40 +139,3 @@ def nms(dets, iou_thr=0.1):
             kept.append(i)
     return kept
 
-
-def mc_iou(a: RotatedBox, b: RotatedBox, samples=1_000_000, seed=0):
-    """Monte-Carlo IoU estimate over the joint bounding region.
-
-    Returns (estimate, standard_error). Test oracle for the analytic path.
-    """
-    pts = np.concatenate([np.asarray(a.corners()), np.asarray(b.corners())])
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    rng = np.random.default_rng(seed)
-    in_a_total = in_b_total = in_both_total = 0
-    remaining = samples
-    while remaining > 0:
-        n = min(remaining, 1_000_000)
-        xy = rng.uniform(lo, hi, size=(n, 2))
-        in_a = _contains_batch(a, xy)
-        in_b = _contains_batch(b, xy)
-        in_a_total += int(in_a.sum())
-        in_b_total += int(in_b.sum())
-        in_both_total += int((in_a & in_b).sum())
-        remaining -= n
-    union = in_a_total + in_b_total - in_both_total
-    if union == 0:
-        return 0.0, 0.0
-    est = in_both_total / union
-    # binomial error of the hit fraction among union samples; test-oracle accuracy
-    se = math.sqrt(max(est * (1.0 - est), 1e-30) / union)
-    return est, se
-
-
-def _contains_batch(box: RotatedBox, xy):
-    c, s = math.cos(box.theta), math.sin(box.theta)
-    dx = xy[:, 0] - box.cx
-    dy = xy[:, 1] - box.cy
-    lon = c * dx + s * dy
-    lat = -s * dx + c * dy
-    return (np.abs(lon) <= box.h / 2.0) & (np.abs(lat) <= box.w / 2.0)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -14,12 +14,12 @@ from .geom import iou
 
 @dataclass
 class EvalConfig:
-    iou_thresholds: tuple = (0.5, 0.6, 0.7, 0.8, 0.9)
+    iou_thresholds: tuple[float, ...] = (0.5, 0.6, 0.7, 0.8, 0.9)
     min_points: int = 3
-    distance_bins: tuple = tuple(float(d) for d in range(10, 101, 10))
+    distance_bins: tuple[float, ...] = tuple(float(d) for d in range(10, 101, 10))
     assoc_iou: float = 0.5
     track_score_thr: float = 0.9
-    forecast_horizons: tuple = (1, 2, 3, 4)
+    forecast_horizons: tuple[int, ...] = (1, 2, 3, 4)
     forecast_match_iou: float = 0.5
     score_thr: float = 0.5
     nms_thr: float = 0.1

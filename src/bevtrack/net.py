@@ -12,7 +12,7 @@ regression code for the current frame and each future timestamp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .voxel import GridSpec, InputTensor
 STRIDE = 8
 GROUP_SIZES = (2, 2, 3, 3)
 CODE_SIZE = 6  # (l_x, l_y, s_w, s_h, a_sin, a_cos)
+MAX_SIZE_CODE = math.log(1000.0)  # decoded sides stay within 1000x of the anchor's
 
 # (size in meters, lateral:longitudinal aspect) for the predefined boxes;
 # size is the area-equivalent side sqrt(w*h).
@@ -42,9 +43,9 @@ class ModelConfig:
     n_in: int = 5
     n_out: int = 5
     fusion: str = "late"
-    widths: tuple = (32, 64, 128, 256)
+    widths: tuple[int, ...] = (32, 64, 128, 256)
     head_width: int = 0  # 0 means "same as the last trunk width"
-    anchor_specs: tuple = DEFAULT_ANCHOR_SPECS
+    anchor_specs: tuple[tuple[float, float], ...] = DEFAULT_ANCHOR_SPECS
 
     def __post_init__(self):
         if self.n_in < 1:
@@ -82,37 +83,6 @@ class ModelConfig:
             extent -= k - 1
         return tuple(kernels)
 
-    def to_dict(self):
-        d = asdict(self)
-        d["grid"] = {
-            "x_range": list(self.grid.x_range),
-            "y_range": list(self.grid.y_range),
-            "z_range": list(self.grid.z_range),
-            "cell": self.grid.cell,
-        }
-        d["widths"] = list(self.widths)
-        d["anchor_specs"] = [list(a) for a in self.anchor_specs]
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        g = d["grid"]
-        grid = GridSpec(
-            x_range=tuple(g["x_range"]),
-            y_range=tuple(g["y_range"]),
-            z_range=tuple(g["z_range"]),
-            cell=g["cell"],
-        )
-        return cls(
-            grid=grid,
-            n_in=d["n_in"],
-            n_out=d["n_out"],
-            fusion=d["fusion"],
-            widths=tuple(d["widths"]),
-            head_width=d.get("head_width", 0),
-            anchor_specs=tuple(tuple(a) for a in d.get("anchor_specs", DEFAULT_ANCHOR_SPECS)),
-        )
-
 
 @dataclass
 class AnchorGrid:
@@ -123,9 +93,6 @@ class AnchorGrid:
 
     def __len__(self):
         return len(self.boxes)
-
-    def array(self):
-        return np.array([[b.cx, b.cy, b.w, b.h] for b in self.boxes])
 
 
 def build_anchors(config: ModelConfig):
@@ -183,10 +150,13 @@ def encode_box(anchor: RotatedBox, gt: RotatedBox):
 
 
 def decode_box(anchor: RotatedBox, code):
-    """Inverse of :func:`encode_box`; sizes decode first, then offsets."""
-    lx, ly, sw, sh, asin, acos = (float(v) for v in code)
-    w = anchor.w * math.exp(-sw)
-    h = anchor.h * math.exp(-sh)
+    """Inverse of :func:`encode_box`; sizes decode first, then offsets.
+
+    Size codes are clamped to +-MAX_SIZE_CODE so no side overflows or vanishes.
+    """
+    lx, ly, sw, sh, asin, acos = np.asarray(code, dtype=np.float64).tolist()
+    w = anchor.w * math.exp(-min(max(sw, -MAX_SIZE_CODE), MAX_SIZE_CODE))
+    h = anchor.h * math.exp(-min(max(sh, -MAX_SIZE_CODE), MAX_SIZE_CODE))
     cx = anchor.cx - lx * w
     cy = anchor.cy - ly * h
     theta = math.atan2(asin, acos)
@@ -259,7 +229,8 @@ class Model:
         """Run the network; returns (HeadOutput, cls logit Tensor, reg Tensor).
 
         With a tape the returned Tensors stay differentiable for the loss;
-        without one this is a plain inference pass.
+        without one this is a plain inference pass, whose own tape is released
+        so its buffers are freed as soon as the caller drops the results.
         """
         cfg = self.config
         occ = inp.occupancy
@@ -307,18 +278,24 @@ class Model:
         I, J = cfg.feat_shape
         reg = T.reshape(head("reg"), (cfg.num_anchors, cfg.n_out, CODE_SIZE, I, J))
         out = HeadOutput(cls=T.sigmoid_array(logits.data), reg=reg.data.copy())
+        if tape is None:
+            own_tape.release()
         return out, logits, reg
 
 
 def decode(output: HeadOutput, anchors: AnchorGrid, frame=0, score_thr=0.5, nms_thr=0.1):
-    """Threshold, decode and suppress; survivors keep their full forecasts."""
+    """Threshold, decode and suppress; survivors keep their full forecasts.
+
+    Anchors whose code holds a non-finite value are skipped.
+    """
     if not (0.0 <= score_thr <= 1.0 and 0.0 <= nms_thr <= 1.0):
         raise ValueError("thresholds must lie in [0, 1]")
     K, I, J = anchors.shape
     n_out = output.reg.shape[1]
     flat_scores = output.cls.reshape(-1)
+    finite = np.isfinite(output.reg).all(axis=(1, 2)).reshape(-1)
     candidates = []
-    for idx in np.flatnonzero(flat_scores >= score_thr):
+    for idx in np.flatnonzero((flat_scores >= score_thr) & finite):
         k, i, j = np.unravel_index(idx, (K, I, J))
         anchor = anchors.boxes[idx]
         boxes = [decode_box(anchor, output.reg[k, t, :, i, j]) for t in range(n_out)]

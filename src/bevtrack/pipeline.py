@@ -13,10 +13,11 @@ from .metrics import (
     forecast_error,
     map_by_distance,
 )
-from .net import AnchorGrid, DetectionSet, Model, build_anchors, decode
+from .net import AnchorGrid, Detection, DetectionSet, Model, ModelConfig, build_anchors, decode
 from .sim import Dataset, box_ego_to_world, box_world_to_ego, gt_tracks_world, make_samples
 from .track import decode_tracklets, hungarian_track
-from .voxel import InputTensor, stack_temporal
+from .train import TrainConfig, train
+from .voxel import stack_temporal
 
 
 def detect_dataset(model: Model, anchors: AnchorGrid, dataset: Dataset, score_thr=0.5, nms_thr=0.1):
@@ -103,3 +104,50 @@ def evaluate_forecast(detection_sets, dataset: Dataset, eval_cfg: EvalConfig, mi
     world = detections_to_world(detection_sets, dataset)
     gt = gt_tracks_world(dataset, frames=None, min_points=min_points)
     return forecast_error(world, gt, eval_cfg.forecast_horizons, eval_cfg.forecast_match_iou)
+
+
+ABLATION_VARIANTS = (
+    ("single_frame", dict(n_in=1, n_out=1, fusion="early"), False),
+    ("early_fusion", dict(n_out=1, fusion="early"), False),
+    ("late_fusion", dict(n_out=1, fusion="late"), False),
+    ("late_fusion_forecast", dict(fusion="late"), False),
+    ("late_fusion_forecast_tracking", dict(fusion="late"), True),
+)
+
+
+def tracklets_to_detections(records, dataset: Dataset):
+    """Aggregated tracklet boxes re-expressed as per-frame ego detections."""
+    by_frame = {}
+    for r in records:
+        by_frame.setdefault(r.frame, []).append(r)
+    sets = []
+    for f in sorted(by_frame):
+        pose = dataset.frames[f].pose
+        dets = [
+            Detection(score=r.score, boxes=[box_world_to_ego(r.box, pose)], track_id=r.track_id)
+            for r in by_frame[f]
+        ]
+        sets.append(DetectionSet(frame=f, detections=dets))
+    return sets
+
+
+def run_ablation(model_cfg: ModelConfig, train_cfg: TrainConfig, eval_cfg: EvalConfig, seed,
+                 dataset: Dataset, val_dataset: Dataset = None):
+    """Train and evaluate the five-variant ladder; returns rows of AP tables."""
+    val = val_dataset or dataset
+    rows = []
+    for name, overrides, with_tracking in ABLATION_VARIANTS:
+        mcfg = replace(model_cfg, **overrides)
+        model = Model(mcfg, seed=seed)
+        anchors = build_anchors(mcfg)
+        samples, _ = make_samples(dataset, mcfg.grid, mcfg.n_in, mcfg.n_out)
+        train(samples, model, anchors, train_cfg)
+        sets = detect_dataset(
+            model, anchors, val, score_thr=eval_cfg.score_thr, nms_thr=eval_cfg.nms_thr
+        )
+        if with_tracking:
+            decoded = decode_tracklets(detections_to_world(sets, val), mcfg.n_out)
+            sets = tracklets_to_detections(decoded, val)
+        report = evaluate_detection(sets, val, eval_cfg)
+        rows.append({"variant": name, "ap_by_iou": report["ap_by_iou"]})
+    return rows

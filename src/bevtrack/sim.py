@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import from_dict, to_dict
 from .geom import RotatedBox, iou, wrap_angle
-from .train import GtObject, Sample
 from .voxel import GridSpec, LidarFrame, Pose, stack_temporal
 
 DATASET_VERSION = 1
@@ -26,32 +26,21 @@ class SimConfig:
     seed: int = 0
     duration: int = 20
     frame_interval: float = 0.1
-    n_vehicles: tuple = (3, 6)
-    speed: tuple = (0.0, 8.0)
-    turn_rate: tuple = (-0.2, 0.2)  # rad/s
+    n_vehicles: tuple[int, int] = (3, 6)
+    speed: tuple[float, float] = (0.0, 8.0)
+    turn_rate: tuple[float, float] = (-0.2, 0.2)  # rad/s
     static_fraction: float = 0.3
-    vehicle_width: tuple = (1.5, 3.0)
-    vehicle_length: tuple = (3.5, 8.0)
-    spawn_x: tuple = (-20.0, 20.0)
-    spawn_y: tuple = (-12.0, 12.0)
+    vehicle_width: tuple[float, float] = (1.5, 3.0)
+    vehicle_length: tuple[float, float] = (3.5, 8.0)
+    spawn_x: tuple[float, float] = (-20.0, 20.0)
+    spawn_y: tuple[float, float] = (-12.0, 12.0)
     sensor_range: float = 60.0
     base_density: float = 6.0  # points per meter of visible edge at 10 m
     dropout: float = 0.1
-    z_span: tuple = (0.2, 1.4)
-    ego_speed: tuple = (0.0, 0.0)
+    z_span: tuple[float, float] = (0.2, 1.4)
+    ego_speed: tuple[float, float] = (0.0, 0.0)
     ego_clearance: float = 2.0
     max_spawn_retries: int = 200
-
-    def to_dict(self):
-        d = asdict(self)
-        return {k: (list(v) if isinstance(v, tuple) else v) for k, v in d.items()}
-
-    @classmethod
-    def from_dict(cls, d):
-        kwargs = {}
-        for k, v in d.items():
-            kwargs[k] = tuple(v) if isinstance(v, list) else v
-        return cls(**kwargs)
 
 
 @dataclass
@@ -313,7 +302,7 @@ def export_dataset(dataset: Dataset, path):
             "version": DATASET_VERSION,
             "duration": dataset.duration,
             "frame_interval": dataset.frame_interval,
-            "sim": dataset.sim.to_dict(),
+            "sim": to_dict(dataset.sim),
         }
         f.write(json.dumps(meta, sort_keys=True) + "\n")
         for frame in dataset.frames:
@@ -338,6 +327,7 @@ def export_dataset(dataset: Dataset, path):
 
 
 def import_dataset(path):
+    """Read a file written by :func:`export_dataset`; a malformed one raises ValueError."""
     meta = None
     frames = {}
     labels = {}
@@ -352,7 +342,8 @@ def import_dataset(path):
                 if kind == "meta":
                     if rec["version"] != DATASET_VERSION:
                         raise ValueError(f"unsupported dataset version {rec['version']}")
-                    meta = rec
+                    meta = (from_dict(SimConfig, rec["sim"], "sim"), range(rec["duration"]),
+                            rec["frame_interval"])
                 elif kind == "frame":
                     pose = Pose(*rec["pose"])
                     pts = np.asarray(rec["points"], dtype=np.float64).reshape(-1, 3)
@@ -373,15 +364,16 @@ def import_dataset(path):
                 raise ValueError(f"{path}:{lineno}: malformed dataset record: {e}") from None
     if meta is None:
         raise ValueError(f"{path}: dataset has no meta record")
-    duration = meta["duration"]
-    frame_list = [frames[t] for t in range(duration)]
-    for t in range(duration):
+    sim, steps, frame_interval = meta
+    for t in steps:
+        if t not in frames:
+            raise ValueError(f"{path}: dataset has no frame {t}")
         labels.setdefault(t, [])
     return Dataset(
-        sim=SimConfig.from_dict(meta["sim"]),
-        duration=duration,
-        frame_interval=meta["frame_interval"],
-        frames=frame_list,
+        sim=sim,
+        duration=len(steps),
+        frame_interval=frame_interval,
+        frames=[frames[t] for t in steps],
         labels=labels,
     )
 
@@ -405,6 +397,26 @@ def box_ego_to_world(box: RotatedBox, pose: Pose):
         box.h,
         box.theta + pose.yaw,
     )
+
+
+@dataclass
+class GtObject:
+    """One labeled object for a training sample.
+
+    ``boxes[0]`` is the current-frame box (required); ``boxes[t]`` for t >= 1
+    is the box t frames ahead, or None where the track no longer exists.
+    """
+
+    track_id: int
+    boxes: list
+
+
+@dataclass
+class Sample:
+    """One training example: stacked occupancy plus its labeled objects."""
+
+    occupancy: np.ndarray  # [T, Z, X, Y]
+    objects: list  # of GtObject
 
 
 def make_samples(dataset: Dataset, grid: GridSpec, n_in, n_out, min_points=0):

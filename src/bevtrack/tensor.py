@@ -67,6 +67,14 @@ class Tape:
     def parameter(self, name, value):
         return Tensor(value, tape=self, name=name)
 
+    def release(self):
+        """Drop the node list, so the forward's buffers are freed now.
+
+        Each node refers back to the tape, so the list is a reference cycle
+        that would otherwise wait for the cyclic GC.
+        """
+        self._nodes = []
+
 
 def _result_tape(*tensors):
     tapes = {id(t.tape): t.tape for t in tensors if isinstance(t, Tensor) and t.tape is not None}
@@ -121,9 +129,7 @@ def backward(loss, tape):
             tape.param_grads[node.name] = (
                 node.grad if node.grad is not None else np.zeros_like(node.data)
             )
-    # Each node refers back to the tape, so the node list is a reference
-    # cycle; drop it to free the forward's buffers now, not at the next GC.
-    tape._nodes = []
+    tape.release()
     return tape.param_grads
 
 
@@ -455,24 +461,34 @@ def save_checkpoint(path, params, config=None):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (params dict in saved order, config)."""
+    """Read a checkpoint; returns (params dict in saved order, config).
+
+    Any malformed or truncated file raises TensorError.
+    """
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise TensorError(f"not a checkpoint file: bad magic {magic!r}")
-        version, hlen = struct.unpack("<II", f.read(8))
+        head = f.read(8)
+        if len(head) != 8:
+            raise TensorError("checkpoint truncated in its header")
+        version, hlen = struct.unpack("<II", head)
         if version != CHECKPOINT_VERSION:
             raise TensorError(f"unsupported checkpoint version {version}")
-        header = json.loads(f.read(hlen).decode("utf-8"))
+        try:
+            header = json.loads(f.read(hlen).decode("utf-8"))
+            entries = [(e["name"], tuple(int(n) for n in e["shape"])) for e in header["params"]]
+            config = header.get("config")
+        except (KeyError, TypeError, ValueError) as e:
+            raise TensorError(f"malformed checkpoint header: {e}") from None
         params = {}
-        for entry in header["params"]:
-            shape = tuple(entry["shape"])
+        for name, shape in entries:
             n = int(np.prod(shape)) if shape else 1
             raw = f.read(8 * n)
             if len(raw) != 8 * n:
-                raise TensorError(f"checkpoint truncated while reading {entry['name']}")
-            params[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+                raise TensorError(f"checkpoint truncated while reading {name}")
+            params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         trailing = f.read(1)
         if trailing:
             raise TensorError("checkpoint has trailing bytes")
-    return params, header.get("config")
+    return params, config

@@ -10,7 +10,7 @@ tracker over raw detections serves as the comparison baseline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment

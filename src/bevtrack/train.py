@@ -3,34 +3,15 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .geom import iou
 from .net import CODE_SIZE, AnchorGrid, Model, encode_box
+from .sim import GtObject, Sample
 from .voxel import InputTensor
-
-
-@dataclass
-class GtObject:
-    """One labeled object for a training sample.
-
-    ``boxes[0]`` is the current-frame box (required); ``boxes[t]`` for t >= 1
-    is the box t frames ahead, or None where the track no longer exists.
-    """
-
-    track_id: int
-    boxes: list
-
-
-@dataclass
-class Sample:
-    """One training example: stacked occupancy plus its labeled objects."""
-
-    occupancy: np.ndarray  # [T, Z, X, Y]
-    objects: list  # of GtObject
 
 
 @dataclass
@@ -46,7 +27,7 @@ class TrainConfig:
     iterations: int = 1000
     lr: float = 1e-4
     alpha: float = 1.0
-    milestones: tuple = (0.6, 0.8)
+    milestones: tuple[float, ...] = (0.6, 0.8)
     hnm_ratio: int = 3
     iou_match_thr: float = 0.4
     batch_size: int = 2
@@ -61,7 +42,7 @@ class TrainConfig:
             raise ValueError("hnm_ratio must be >= 1")
 
 
-def assign_targets(anchors: AnchorGrid, objects, n_out, iou_thr=0.4):
+def assign_targets(anchors: AnchorGrid, objects: list[GtObject], n_out, iou_thr=0.4):
     """Match anchors to ground truth on the current frame.
 
     Anchors overlapping a gt box above ``iou_thr`` become positive; every gt
@@ -156,7 +137,8 @@ def lr_at(iteration, config: TrainConfig):
     return lr
 
 
-def train(samples, model: Model, anchors: AnchorGrid, config: TrainConfig, log_fn=None):
+def train(samples: list[Sample], model: Model, anchors: AnchorGrid, config: TrainConfig,
+          log_fn=None):
     """Adam training over precomputed assignments; deterministic in the seed.
 
     Returns the trained parameter dict (updated in place on the model) and

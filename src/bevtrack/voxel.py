@@ -44,12 +44,14 @@ class LidarFrame:
 class GridSpec:
     """Uniform metric grid; half-open bins [min, max) on every axis."""
 
-    x_range: tuple
-    y_range: tuple
-    z_range: tuple
+    x_range: tuple[float, float]
+    y_range: tuple[float, float]
+    z_range: tuple[float, float]
     cell: float
 
     def __post_init__(self):
+        if not 0.0 < self.cell < math.inf:
+            raise ValueError(f"cell must be a positive finite size, got {self.cell}")
         for name, (lo, hi) in (("x", self.x_range), ("y", self.y_range), ("z", self.z_range)):
             if hi <= lo:
                 raise ValueError(f"{name}_range must have positive length")

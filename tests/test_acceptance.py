@@ -14,7 +14,7 @@ import pytest
 
 from bevtrack import tensor as T
 from bevtrack.cli import main as cli_main
-from bevtrack.geom import RotatedBox, iou, mc_iou
+from bevtrack.geom import RotatedBox, iou
 from bevtrack.metrics import (
     EvalConfig,
     GtBox,
@@ -33,16 +33,16 @@ from bevtrack.net import (
     encode_box,
 )
 from bevtrack.pipeline import detect_dataset, evaluate_detection, evaluate_forecast
-from bevtrack.sim import SimConfig, generate_dataset, gt_tracks_world, make_samples
+from bevtrack.sim import GtObject, SimConfig, generate_dataset, gt_tracks_world, make_samples
 from bevtrack.track import TrackletFrame, decode_tracklets, hungarian_track
 from bevtrack.train import (
-    GtObject,
     TrainConfig,
     assign_targets,
     mine_hard_negatives,
     train,
 )
 from bevtrack.voxel import GridSpec, InputTensor, voxelize
+from oracles import mc_iou
 
 
 def report(num, name, ok, detail=""):

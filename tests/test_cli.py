@@ -1,10 +1,14 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
+from bevtrack import tensor as T
 from bevtrack.cli import ConfigError, load_run_config, main
+from bevtrack.geom import RotatedBox
+from bevtrack.track import TrackletFrame, dump_tracklets
 
 
 TINY = {
@@ -66,6 +70,44 @@ class TestConfig:
     def test_malformed_set_item(self):
         with pytest.raises(ConfigError, match="key=value"):
             load_run_config(None, assignments=["justakey"])
+
+    def test_config_file_must_hold_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ConfigError, match="object"):
+            load_run_config(str(path))
+
+    def test_resolved_config_is_the_json_form(self, cfg_path):
+        resolved = load_run_config(cfg_path).resolved()
+        assert set(resolved) == {"version", "seed", "grid", "model", "train", "sim", "eval"}
+        assert resolved["model"]["grid"] == resolved["grid"] == TINY["grid"]
+        assert resolved["model"]["widths"] == TINY["model"]["widths"]
+        assert resolved["train"]["seed"] == resolved["sim"]["seed"] == 0
+        assert json.loads(json.dumps(resolved)) == resolved
+
+
+# Each one ended in a traceback before configs were type-checked.
+WRONG_TYPED = [
+    ("model.widths=5",),
+    ("train.milestones=3",),
+    ("sim.n_vehicles=3",),
+    ("grid=3",),
+    ("eval.iou_thresholds=0.5",),
+    ("grid.cell=0",),
+    ("seed=true",),
+    ("model.fusion=3",),
+    ("train.iterations=1.5",),
+    ("sim=[1]",),
+    ("model.grid={}",),
+    ("grid=3", "grid.cell=1"),
+]
+
+
+@pytest.mark.parametrize("assignments", WRONG_TYPED, ids=" ".join)
+def test_wrong_typed_value_ends_in_error(assignments, tmp_path, capsys):
+    args = [a for item in assignments for a in ("--set", item)]
+    assert run(*args, "--out", str(tmp_path / "out"), "generate") == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 class TestGenerate:
@@ -147,6 +189,81 @@ class TestPipelineCommands:
         assert "not found" in capsys.readouterr().err
 
 
+class TestLoadersFailClosed:
+    def test_checkpoint_header_without_keys_rejected(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        for header in (b"{}", b'{"params": [{"name": "p"}]}', b"[]"):
+            path.write_bytes(T.CHECKPOINT_MAGIC + struct.pack("<II", 1, len(header)) + header)
+            with pytest.raises(T.TensorError, match="malformed"):
+                T.load_checkpoint(path)
+
+    def test_checkpoint_params_must_fit_the_model(self, trained, capsys):
+        cfg, dataset, ckpt, tmp_path = trained
+        params, saved_cfg = T.load_checkpoint(ckpt)
+        params.popitem()
+        bad = tmp_path / "short.bin"
+        T.save_checkpoint(bad, params, saved_cfg)
+        assert run("--config", cfg, "--out", str(tmp_path / "e"), "eval", dataset, str(bad)) == 1
+        assert "do not match" in capsys.readouterr().err
+
+    def test_directory_as_dataset_ends_in_error(self, cfg_path, tmp_path, capsys):
+        assert run("--config", cfg_path, "--out", str(tmp_path / "r"), "render", str(tmp_path)) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_truncated_checkpoint_ends_in_error(self, trained, capsys):
+        cfg, dataset, ckpt, tmp_path = trained
+        data = open(ckpt, "rb").read()
+        bad = tmp_path / "bad.bin"
+        for n in range(len(data)):
+            bad.write_bytes(data[:n])
+            with pytest.raises(T.TensorError):
+                T.load_checkpoint(bad)
+        rng = np.random.default_rng(0)
+        for n in sorted({0, 4, 11, 12, len(data) - 1, *rng.integers(0, len(data), 30).tolist()}):
+            bad.write_bytes(data[:n])
+            assert run("--config", cfg, "--out", str(tmp_path / "e"), "eval", dataset, str(bad)) == 1
+            assert capsys.readouterr().err.startswith("error:")
+
+    def test_dataset_with_a_line_dropped_or_cut(self, cfg_path, tmp_path, capsys):
+        run("--config", cfg_path, "--out", str(tmp_path / "d"), "generate")
+        bad = tmp_path / "bad.jsonl"
+        for line, dropped, cut in dropped_and_cut(tmp_path / "d" / "dataset.jsonl", seed=1):
+            for variant, ok in ((dropped, '"kind": "label"' in line), (cut, False)):
+                bad.write_text(variant)
+                code = run("--config", cfg_path, "--out", str(tmp_path / "r"), "render", str(bad))
+                err = capsys.readouterr().err
+                assert (code, err.startswith("error:")) == ((0, False) if ok else (1, True)), (line, err)
+
+    def test_tracklets_and_config_with_a_line_dropped_or_cut(self, cfg_path, tmp_path, capsys):
+        run("--config", cfg_path, "--out", str(tmp_path / "d"), "generate")
+        dataset = str(tmp_path / "d" / "dataset.jsonl")
+        tracklets = tmp_path / "tracklets.txt"
+        boxes = [RotatedBox(1.0, 0.5, 2.0, 4.0, 0.3), RotatedBox(-2.0, 1.0, 1.5, 3.0, -1.0)]
+        dump_tracklets([TrackletFrame(t, 3, b, 0.9, "live") for t, b in enumerate(boxes)], tracklets)
+        config = tmp_path / "pretty.json"
+        config.write_text(json.dumps(TINY, indent=1))
+        bad = tmp_path / "bad"
+        for good, args in (
+            (tracklets, ("--config", cfg_path, "render", dataset, "--tracklets", str(bad))),
+            (config, ("--config", str(bad), "render", dataset)),
+        ):
+            for line, *variants in dropped_and_cut(good, seed=2):
+                for variant in variants:
+                    bad.write_text(variant)
+                    code = run("--out", str(tmp_path / "r"), *args)
+                    err = capsys.readouterr().err
+                    assert code == 0 or (code == 1 and err.startswith("error:")), (line, err)
+
+
+def dropped_and_cut(path, seed):
+    """(line, text without it, text with it cut short) for each line of a file."""
+    lines = path.read_text().splitlines(keepends=True)
+    rng = np.random.default_rng(seed)
+    for i, line in enumerate(lines):
+        cut = line[: int(rng.integers(1, max(len(line) - 1, 2)))] + "\n"
+        yield line, "".join(lines[:i] + lines[i + 1 :]), "".join(lines[:i] + [cut] + lines[i + 1 :])
+
+
 class TestRenderAndBench:
     def test_render_ppm_frames(self, cfg_path, tmp_path):
         data = tmp_path / "d"
@@ -158,6 +275,19 @@ class TestRenderAndBench:
         frames = sorted(out.glob("frame_*.ppm"))
         assert len(frames) == TINY["sim"]["duration"]
         assert frames[0].read_bytes().startswith(b"P6\n32 48\n255\n")
+
+    def test_render_draws_tracklets(self, cfg_path, tmp_path):
+        data = tmp_path / "d"
+        run("--config", cfg_path, "--out", str(data), "generate")
+        tracklets = tmp_path / "tracklets.txt"
+        dump_tracklets([TrackletFrame(0, 7, RotatedBox(1.0, 0.5, 2.0, 4.0, 0.3), 0.9, "live")], tracklets)
+        frames = {}
+        for name, extra in (("plain", ()), ("tracked", ("--tracklets", str(tracklets)))):
+            out = tmp_path / name
+            assert run("--config", cfg_path, "--out", str(out), "render", str(data / "dataset.jsonl"), *extra) == 0
+            frames[name] = [p.read_bytes() for p in sorted(out.glob("frame_*.ppm"))]
+        assert frames["tracked"][0] != frames["plain"][0]
+        assert frames["tracked"][1:] == frames["plain"][1:]
 
     def test_bench_report(self, cfg_path, tmp_path):
         out = tmp_path / "bench"
@@ -181,3 +311,17 @@ class TestRenderAndBench:
             "late_fusion_forecast",
             "late_fusion_forecast_tracking",
         ]
+
+    def test_ablation_scores_the_val_dataset(self, cfg_path, tmp_path, capsys):
+        run("--config", cfg_path, "--out", str(tmp_path / "d"), "generate")
+        run("--config", cfg_path, "--set", "sim.n_vehicles=[0, 0]", "--out", str(tmp_path / "v"), "generate")
+        dataset, empty = str(tmp_path / "d" / "dataset.jsonl"), str(tmp_path / "v" / "dataset.jsonl")
+        out = tmp_path / "abl"
+        assert run("--config", cfg_path, "--out", str(out), "ablate", dataset, "--val-dataset", empty) == 0
+        rows = json.loads((out / "ablation.json").read_text())["rows"]
+        assert len(rows) == 5
+        # the val dataset holds no vehicles, so no AP is defined on it
+        assert all(ap is None for r in rows for ap in r["ap_by_iou"].values())
+        missing = str(tmp_path / "nope.jsonl")
+        assert run("--config", cfg_path, "--out", str(out), "ablate", dataset, "--val-dataset", missing) == 1
+        assert capsys.readouterr().err.startswith("error:")

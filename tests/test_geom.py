@@ -7,11 +7,11 @@ from bevtrack.geom import (
     RotatedBox,
     clip_polygon,
     iou,
-    mc_iou,
     nms,
     polygon_area,
     wrap_angle,
 )
+from oracles import mc_iou
 
 
 def random_box(rng, span=10.0):

@@ -1,9 +1,12 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from bevtrack import tensor as T
+from bevtrack.config import from_dict, to_dict
 from bevtrack.geom import RotatedBox
 from bevtrack.net import (
     CODE_SIZE,
@@ -45,7 +48,7 @@ class TestConfig:
 
     def test_roundtrip_dict(self):
         cfg = micro_config(n_in=5, fusion="early")
-        assert ModelConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+        assert from_dict(ModelConfig, to_dict(cfg), "model") == cfg
 
 
 class TestAnchors:
@@ -198,6 +201,18 @@ class TestForward:
         with pytest.raises(ValueError, match="T="):
             m.forward(InputTensor(np.zeros((2, 2, 16, 16))))
 
+    def test_untaped_forward_frees_its_buffers_without_gc(self):
+        m = Model(micro_config(), seed=0)
+        gc.disable()
+        try:
+            out = m.forward(InputTensor(np.ones((3, 2, 16, 16))))
+            logits = weakref.ref(out[1].data)
+            assert out[1].tape._nodes == []
+            del out
+            assert logits() is None
+        finally:
+            gc.enable()
+
     def test_bitwise_deterministic(self):
         occ = (np.random.default_rng(0).random((3, 2, 16, 16)) > 0.8).astype(float)
         for fusion in ("early", "late"):
@@ -252,3 +267,19 @@ class TestDecode:
         out = HeadOutput(cls=np.zeros((K, I, J)), reg=np.zeros((K, cfg.n_out, CODE_SIZE, I, J)))
         with pytest.raises(ValueError):
             decode(out, anchors, score_thr=1.5)
+
+    def test_extreme_and_non_finite_codes_decode_without_raising(self):
+        cfg = micro_config(n_out=1)
+        anchors = build_anchors(cfg)
+        K, I, J = anchors.shape
+        cls = np.zeros((K, I, J))
+        reg = np.zeros((K, 1, CODE_SIZE, I, J))
+        codes = ([0, 0, -800, 0, 0, 1], [0, 0, 800, 0, 0, 1], [0, 0, np.nan, 0, 0, 1])
+        for (i, j), code in zip(((0, 0), (0, 1), (1, 0)), codes):
+            cls[0, i, j] = 0.9
+            reg[0, 0, :, i, j] = code
+        out = decode(HeadOutput(cls=cls, reg=reg), anchors, score_thr=0.5, nms_thr=1.0)
+        assert sorted(d.anchor_index for d in out.detections) == [0, 1]
+        wide, narrow = sorted((d.boxes[0] for d in out.detections), key=lambda b: -b.w)
+        assert wide.w == pytest.approx(anchors.boxes[0].w * 1000.0)
+        assert narrow.w == pytest.approx(anchors.boxes[1].w / 1000.0)

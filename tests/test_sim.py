@@ -216,6 +216,23 @@ class TestDatasetIo:
         with pytest.raises(ValueError, match="meta"):
             import_dataset(path)
 
+    def test_missing_frame_rejected(self, tmp_path):
+        path = tmp_path / "ds.jsonl"
+        export_dataset(generate_dataset(small_config(seed=1)), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(l for l in lines if '"t": 2' not in l or '"frame"' not in l) + "\n")
+        with pytest.raises(ValueError, match="no frame 2"):
+            import_dataset(path)
+
+    def test_mistyped_sim_config_rejected(self, tmp_path):
+        path = tmp_path / "ds.jsonl"
+        export_dataset(generate_dataset(small_config(seed=1)), path)
+        lines = path.read_text().splitlines()
+        lines[0] = lines[0].replace('"n_vehicles": [2, 3]', '"n_vehicles": 3', 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r":1:.*sim\.n_vehicles"):
+            import_dataset(path)
+
     def test_label_point_counts_match_lidar(self):
         cfg = small_config(seed=4)
         scene = generate_scene(cfg)

@@ -6,9 +6,8 @@ import pytest
 from bevtrack import tensor as T
 from bevtrack.geom import RotatedBox, iou
 from bevtrack.net import Model, ModelConfig, build_anchors, encode_box
+from bevtrack.sim import GtObject, Sample
 from bevtrack.train import (
-    GtObject,
-    Sample,
     TrainConfig,
     assign_targets,
     format_log_line,

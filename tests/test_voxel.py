@@ -73,6 +73,11 @@ class TestVoxelize:
         with pytest.raises(ValueError):
             GridSpec(x_range=(0.0, 1.1), y_range=(0.0, 1.0), z_range=(0.0, 1.0), cell=0.2)
 
+    @pytest.mark.parametrize("cell", [0.0, -0.2, math.inf])
+    def test_non_positive_or_infinite_cell_rejected(self, cell):
+        with pytest.raises(ValueError, match="cell"):
+            GridSpec(x_range=(0.0, 1.0), y_range=(0.0, 1.0), z_range=(0.0, 1.0), cell=cell)
+
 
 class TestStackTemporal:
     small = GridSpec(x_range=(-4.0, 4.0), y_range=(-4.0, 4.0), z_range=(0.0, 1.0), cell=0.2)

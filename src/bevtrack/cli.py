@@ -1,4 +1,4 @@
-"""Operator entry point: generate, train, eval, track, ablate, render, bench."""
+"""Operator entry point: generate, train, eval, track, ablate, render."""
 
 from __future__ import annotations
 
@@ -6,9 +6,7 @@ import argparse
 import json
 import math
 import os
-import platform
 import sys
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +34,7 @@ from .sim import (
 )
 from .track import dump_tracklets, load_tracklets
 from .train import TrainConfig, format_log_line, train
-from .voxel import GridSpec, InputTensor, voxelize
+from .voxel import GridSpec, voxelize
 
 
 DEFAULT_CONFIG = {
@@ -298,53 +296,6 @@ def cmd_render(config: RunConfig, dataset_path, tracklets_path, out_dir):
     return 0
 
 
-def cmd_bench(config: RunConfig, out_dir):
-    _prepare_out(out_dir, config)
-    rng = np.random.default_rng(config.seed)
-    # full-scale voxelization target: 144x80 m at 0.2 m, 29 height bins
-    big = GridSpec(x_range=(-72.0, 72.0), y_range=(-40.0, 40.0), z_range=(-2.0, 3.8), cell=0.2)
-    pts = np.column_stack(
-        [
-            rng.uniform(-72, 72, 100_000),
-            rng.uniform(-40, 40, 100_000),
-            rng.uniform(-2, 3.8, 100_000),
-        ]
-    )
-    voxelize(pts, big)  # warm up
-    t0 = time.perf_counter()
-    reps = 5
-    for _ in range(reps):
-        voxelize(pts, big)
-    vox_ms = (time.perf_counter() - t0) / reps * 1000.0
-
-    model = Model(config.model, seed=config.seed)
-    anchors = build_anchors(config.model)
-    occ = np.zeros((config.model.n_in, config.grid.nz, config.grid.nx, config.grid.ny))
-    model.forward(InputTensor(occ))  # warm up
-    t0 = time.perf_counter()
-    for _ in range(3):
-        model.forward(InputTensor(occ))
-    fwd_ms = (time.perf_counter() - t0) / 3 * 1000.0
-
-    report = {
-        "voxelize_100k_720x400x29_ms": vox_ms,
-        "forward_ms": fwd_ms,
-        "num_anchors": len(anchors),
-        "hardware": {
-            "platform": platform.platform(),
-            "processor": platform.processor() or platform.machine(),
-            "python": platform.python_version(),
-        },
-        "version": __version__,
-    }
-    with open(os.path.join(out_dir, "bench.json"), "w") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
-    print(f"voxelize(100k pts, 720x400x29): {vox_ms:.2f} ms")
-    print(f"forward pass: {fwd_ms:.2f} ms")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -375,7 +326,6 @@ def build_parser():
     sp = sub.add_parser("render")
     sp.add_argument("dataset")
     sp.add_argument("--tracklets")
-    sub.add_parser("bench")
     return p
 
 
@@ -395,8 +345,6 @@ def main(argv=None):
             return cmd_ablate(config, args.dataset, args.out, args.val_dataset)
         if args.command == "render":
             return cmd_render(config, args.dataset, args.tracklets, args.out)
-        if args.command == "bench":
-            return cmd_bench(config, args.out)
         raise ConfigError(f"unknown command {args.command}")
     except (OSError, ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)

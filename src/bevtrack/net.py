@@ -6,7 +6,10 @@ The trunk is a halved-width VGG-style stack of 10 convolutions in groups of
 unpadded-in-time 3D convolutions that collapse the temporal extent to 1;
 early fusion collapses it immediately with a shared temporal weight vector.
 Two sibling heads predict per-anchor vehicle probability and a 6-vector
-regression code for the current frame and each future timestamp.
+regression code for the current frame and each future timestamp. In every
+mode the first layer runs as one conv3d over the occupancy (early fusion's
+kernel is the spatial kernel times the temporal weights), so its cost
+follows the occupied voxels.
 """
 
 from __future__ import annotations
@@ -56,6 +59,10 @@ class ModelConfig:
             raise ValueError(f"unknown fusion mode {self.fusion!r}")
         if len(self.widths) != len(GROUP_SIZES):
             raise ValueError(f"widths must have {len(GROUP_SIZES)} entries")
+        if min(self.widths) < 1:
+            raise ValueError(f"every trunk width must be >= 1, got {tuple(self.widths)}")
+        if self.head_width < 0:
+            raise ValueError(f"head_width must be >= 0 (0: the last trunk width), got {self.head_width}")
         if self.grid.nx % STRIDE or self.grid.ny % STRIDE:
             raise ValueError(
                 f"grid {self.grid.nx}x{self.grid.ny} not divisible by total stride {STRIDE}"
@@ -244,25 +251,23 @@ class Model:
         own_tape = tape or T.Tape()
         p = {name: own_tape.parameter(name, v) for name, v in self.params.items()}
 
-        if cfg.fusion == "early":
-            x = T.temporal_group_conv(T.Tensor(occ), p["temporal.w"])
-            collapse_left = 0
-        else:
-            collapse_left = len(cfg.temporal_kernels())
-            if collapse_left == 0:  # n_in == 1 degenerates to a 2D-only trunk
-                x = T.Tensor(occ[0])
-            else:
-                x = T.Tensor(np.ascontiguousarray(occ.transpose(1, 0, 2, 3)))
-
-        for name, kind, _shape in _conv_specs(cfg):
+        # [Z, T, X, Y] view of the constant input: the first layer is a conv3d
+        # that reads only its occupied voxels, for every fusion mode
+        x = occ.transpose(1, 0, 2, 3)
+        for name, kind, shape in _conv_specs(cfg):
+            w = p[f"{name}.w"]
+            if name == "g1.c1":
+                if cfg.fusion == "early":
+                    w = T.temporal_kernel(w, p["temporal.w"])
+                elif kind == "conv2d":  # late fusion with n_in == 1
+                    w = T.reshape(w, (shape[0], shape[1], 1) + shape[2:])
+                kind = "conv3d"
             if kind == "conv3d":
-                x = T.conv3d(x, p[f"{name}.w"], p[f"{name}.b"], spatial_pad=1)
-                collapse_left -= 1
-                if collapse_left == 0:
-                    # temporal extent is 1 now; continue with 2D convolutions
+                x = T.conv3d(x, w, p[f"{name}.b"], spatial_pad=1)
+                if x.shape[1] == 1:  # temporal extent collapsed; 2D convolutions follow
                     x = T.reshape(x, (x.shape[0], x.shape[2], x.shape[3]))
             else:
-                x = T.conv2d(x, p[f"{name}.w"], p[f"{name}.b"], stride=1, pad=1)
+                x = T.conv2d(x, w, p[f"{name}.b"], stride=1, pad=1)
             x = T.relu(x)
             gpart, cpart = name.split(".")
             group, conv_idx = int(gpart[1:]), int(cpart[1:])

@@ -327,7 +327,10 @@ def export_dataset(dataset: Dataset, path):
 
 
 def import_dataset(path):
-    """Read a file written by :func:`export_dataset`; a malformed one raises ValueError."""
+    """Read a file written by :func:`export_dataset`.
+
+    A malformed file, or a frame with a NaN or inf point or pose, raises ValueError.
+    """
     meta = None
     frames = {}
     labels = {}
@@ -345,8 +348,10 @@ def import_dataset(path):
                     meta = (from_dict(SimConfig, rec["sim"], "sim"), range(rec["duration"]),
                             rec["frame_interval"])
                 elif kind == "frame":
-                    pose = Pose(*rec["pose"])
                     pts = np.asarray(rec["points"], dtype=np.float64).reshape(-1, 3)
+                    if not (np.isfinite(pts).all() and np.isfinite(rec["pose"]).all()):
+                        raise ValueError(f"frame {rec['t']} has a non-finite point or pose")
+                    pose = Pose(*rec["pose"])
                     frames[rec["t"]] = LidarFrame(points=pts, pose=pose, timestamp=rec["t"])
                 elif kind == "label":
                     b = rec["box"]

@@ -1,10 +1,10 @@
 """Minimal dense tensor library with reverse-mode automatic differentiation.
 
 Provides exactly the operators the BEV detection networks need: 2D/3D
-convolution, a shared-weight temporal collapse, max-pooling, sigmoid/relu,
-the two loss terms, and Adam. Only operands recorded on the tape receive
-gradients. Everything is float64 and single-threaded; tensors are immutable
-values once created.
+convolution (3D over a constant input reads only its occupied sites), the
+early-fusion kernel, max-pooling, sigmoid/relu, the two loss terms, and
+Adam. Only operands recorded on the tape receive gradients. Everything is
+float64 and single-threaded; tensors are immutable values once created.
 """
 
 from __future__ import annotations
@@ -258,7 +258,10 @@ def conv2d(x, weights, bias, stride=1, pad=0):
 def conv3d(x, weights, bias, spatial_pad=0):
     """Spatio-temporal cross-correlation; padding applies to H,W only.
 
-    Input is [C_in,T,H,W]; the temporal extent shrinks by kT-1.
+    Input is [C_in,T,H,W]; the temporal extent shrinks by kT-1. An input
+    recorded on a tape runs through dense im2col and gets a gradient. Any
+    other input is a constant: the output is computed from its occupied sites
+    alone, and only the weights and bias get gradients.
     """
     xd, wd, bd = _as_array(x), _as_array(weights), _as_array(bias)
     if xd.ndim != 4:
@@ -270,7 +273,7 @@ def conv3d(x, weights, bias, spatial_pad=0):
         raise TensorError(f"conv3d spatial kernel extents must be odd, got {kh}x{kw}")
     if xd.shape[0] != c_in:
         raise TensorError(f"conv3d channel mismatch: input C={xd.shape[0]}, weights C_in={c_in}")
-    c, t, h, w = xd.shape
+    _, t, h, w = xd.shape
     if t < kt:
         raise TensorError(f"conv3d needs temporal extent >= {kt}, got {t}")
     if bd.shape != (c_out,):
@@ -279,6 +282,18 @@ def conv3d(x, weights, bias, spatial_pad=0):
     if h + 2 * pad < kh or w + 2 * pad < kw:
         raise TensorError("conv3d spatial kernel exceeds padded input")
 
+    if isinstance(x, Tensor) and x.tape is not None:
+        y, grad_x, grad_w = _conv3d_dense(xd, wd, bd, pad)
+    else:
+        y, grad_w = _conv3d_sites(xd, wd, bd, pad)
+        grad_x = None  # never called: a constant is not a parent
+    return _node(y, (x, grad_x), (weights, grad_w), (bias, lambda g: g.sum(axis=(1, 2, 3))))
+
+
+def _conv3d_dense(xd, wd, bd, pad):
+    """conv3d by per-frame im2col; returns (y, grad_x, grad_w)."""
+    c_out, c_in, kt, kh, kw = wd.shape
+    c, t, h, w = xd.shape
     t_out = t - kt + 1
     oh = h + 2 * pad - kh + 1
     ow = w + 2 * pad - kw + 1
@@ -312,24 +327,74 @@ def conv3d(x, weights, bias, spatial_pad=0):
                 gw[:, dt] += gmat @ cols[to + dt].T
         return gw.reshape(c_out, kt, c_in, kh, kw).transpose(0, 2, 1, 3, 4)
 
-    return _node(y, (x, grad_x), (weights, grad_w), (bias, lambda g: g.sum(axis=(1, 2, 3))))
+    return y, grad_x, grad_w
 
 
-def temporal_group_conv(x, weights):
-    """Weighted sum over the leading time axis, weights shared by all channels."""
-    xd, wd = _as_array(x), _as_array(weights)
-    if xd.ndim != 4:
-        raise TensorError(f"temporal_group_conv input must be [T,C,H,W], got {xd.shape}")
-    if wd.shape != (xd.shape[0],):
-        raise TensorError(
-            f"temporal weight count {wd.shape} does not match temporal extent {xd.shape[0]}"
-        )
-    y = np.tensordot(wd, xd, axes=(0, 0))
+def _conv3d_sites(xd, wd, bd, pad):
+    """conv3d of a constant input from its occupied sites; returns (y, grad_w).
 
+    A site is a (t, h, w) cell where any channel is nonzero. Each kernel
+    offset adds the sites' channel vectors times its [C_out, C_in] weight
+    slice at the sites' cells shifted by the offset; no two sites of one
+    offset share a cell. The sums go into an output padded wide enough that
+    every shifted cell lands inside it, and the padding is cropped off. The
+    weight gradient gathers the output gradient at the same cells
+    (gather-GEMM-scatter, as in SECOND's sparse convolution).
+    """
+    c_out, _, kt, kh, kw = wd.shape
+    _, t, h, w = xd.shape
+    t_out = t - kt + 1
+    oh = h + 2 * pad - kh + 1
+    ow = w + 2 * pad - kw + 1
+    top, left = max(kh - 1 - pad, 0), max(kw - 1 - pad, 0)  # output cell (0, 0) in the padded frame
+    hp, wp = top + max(oh, h + pad), left + max(ow, w + pad)
+    site = np.flatnonzero(xd.any(axis=0))  # ascending, so grouped by frame
+    st, rest = np.divmod(site, h * w)
+    sh, sw = np.divmod(rest, w)
+    feats = xd[:, st, sh, sw]  # [C_in, sites]
+    first = np.searchsorted(st, np.arange(t + 1))
+    cell0 = (st * hp + sh + top + pad) * wp + sw + left + pad  # the cell of offset (0, 0, 0)
+    yp = np.zeros((c_out, t_out * hp * wp))
+    rules = []
+    for dt in range(kt):
+        lo, hi = first[dt], first[dt + t_out]  # sites whose output frame t - dt exists
+        src = feats[:, lo:hi]
+        for di in range(kh):
+            for dj in range(kw):
+                cell = cell0[lo:hi] - ((dt * hp + di) * wp + dj)
+                yp[:, cell] += wd[:, :, dt, di, dj] @ src
+                rules.append(((dt, di, dj), src, cell))
+    crop = (slice(None), slice(None), slice(top, top + oh), slice(left, left + ow))
+    y = yp.reshape(c_out, t_out, hp, wp)[crop] + bd[:, None, None, None]
+
+    def grad_w(g):
+        gp = np.zeros((c_out, t_out, hp, wp))
+        gp[crop] = g
+        gp = gp.reshape(c_out, -1)
+        gw = np.zeros_like(wd)
+        for offset, src, cell in rules:
+            gw[(slice(None), slice(None)) + offset] = gp[:, cell] @ src.T
+        return gw
+
+    return y, grad_w
+
+
+def temporal_kernel(weights, temporal):
+    """A [C_out,C_in,kH,kW] kernel times per-frame weights: a [C_out,C_in,T,kH,kW] kernel.
+
+    By linearity, conv3d over T frames with this kernel equals conv2d with
+    ``weights`` over the frames' weighted sum (early fusion).
+    """
+    wd, td = _as_array(weights), _as_array(temporal)
+    if wd.ndim != 4:
+        raise TensorError(f"temporal_kernel weights must be [C_out,C_in,kH,kW], got {wd.shape}")
+    if td.ndim != 1:
+        raise TensorError(f"temporal_kernel needs one weight per frame, got shape {td.shape}")
+    k = wd[:, :, None] * td[None, None, :, None, None]
     return _node(
-        y,
-        (x, lambda g: wd[:, None, None, None] * g[None]),
-        (weights, lambda g: np.tensordot(xd, g, axes=((1, 2, 3), (0, 1, 2)))),
+        k,
+        (weights, lambda g: np.tensordot(g, td, axes=(2, 0))),
+        (temporal, lambda g: np.tensordot(g, wd, axes=((0, 1, 3, 4), (0, 1, 2, 3)))),
     )
 
 
@@ -463,7 +528,7 @@ def save_checkpoint(path, params, config=None):
 def load_checkpoint(path):
     """Read a checkpoint; returns (params dict in saved order, config).
 
-    Any malformed or truncated file raises TensorError.
+    Any malformed or truncated file, or a NaN or inf value, raises TensorError.
     """
     with open(path, "rb") as f:
         magic = f.read(4)
@@ -488,6 +553,8 @@ def load_checkpoint(path):
             if len(raw) != 8 * n:
                 raise TensorError(f"checkpoint truncated while reading {name}")
             params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            if not np.isfinite(params[name]).all():
+                raise TensorError(f"checkpoint tensor {name} holds a non-finite value")
         trailing = f.read(1)
         if trailing:
             raise TensorError("checkpoint has trailing bytes")

@@ -59,6 +59,8 @@ class GridSpec:
             n = (hi - lo) / self.cell
             if abs(n - round(n)) > 1e-9:
                 raise ValueError(f"{name}_range length must be an integer number of cells")
+        if self.nz < 1:
+            raise ValueError(f"z_range {tuple(self.z_range)} holds no whole cell of size {self.cell}")
 
     @property
     def nx(self):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from bevtrack import tensor as T
 from bevtrack.geom import RotatedBox
 
 
@@ -43,3 +44,25 @@ def _contains_batch(box: RotatedBox, xy):
     lon = c * dx + s * dy
     lat = -s * dx + c * dy
     return (np.abs(lon) <= box.h / 2.0) & (np.abs(lat) <= box.w / 2.0)
+
+
+def temporal_group_conv(x, weights):
+    """Weighted sum over the leading time axis of [T,C,H,W], weights shared by all channels.
+
+    Early fusion collapsed the frames this way before a dense conv2d; by
+    linearity that equals ``conv3d`` with ``tensor.temporal_kernel``, which it
+    is the oracle for. Records on the tape like the ops in ``bevtrack.tensor``.
+    """
+    xd, wd = T._as_array(x), T._as_array(weights)
+    if xd.ndim != 4:
+        raise T.TensorError(f"temporal_group_conv input must be [T,C,H,W], got {xd.shape}")
+    if wd.shape != (xd.shape[0],):
+        raise T.TensorError(
+            f"temporal weight count {wd.shape} does not match temporal extent {xd.shape[0]}"
+        )
+    y = np.tensordot(wd, xd, axes=(0, 0))
+    return T._node(
+        y,
+        (x, lambda g: wd[:, None, None, None] * g[None]),
+        (weights, lambda g: np.tensordot(xd, g, axes=((1, 2, 3), (0, 1, 2)))),
+    )

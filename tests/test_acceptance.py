@@ -133,13 +133,12 @@ def test_c01_gradient_suite():
         ),
     )
 
-    # per-frame weighted temporal collapse
-    frames = rng.standard_normal((3, 2, 4, 4))
+    # early-fusion kernel: spatial kernel times per-frame weights
     worst = max(
         worst,
         _fd_check(
-            _op_graph(lambda a, w: T.tensor_sum(T.mul(c := T.temporal_group_conv(a, w), c))),
-            [frames, rng.standard_normal(3)],
+            _op_graph(lambda w, t: T.tensor_sum(T.mul(c := T.temporal_kernel(w, t), c))),
+            [rng.standard_normal((2, 2, 3, 3)), rng.standard_normal(3)],
         ),
     )
 

@@ -39,6 +39,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="stride"):
             ModelConfig(grid=grid)
 
+    @pytest.mark.parametrize("widths,head_width", [((0, 1, 1, 1), 0), ((2, 2, -1, 2), 0), ((2, 2, 2, 2), -1)])
+    def test_widths_below_one_rejected(self, widths, head_width):
+        with pytest.raises(ValueError, match="width"):
+            micro_config(widths=widths, head_width=head_width)
+
+    def test_head_width_zero_means_last_trunk_width(self):
+        params = init_params(micro_config(widths=(2, 2, 2, 3), head_width=0))
+        assert params["head.cls.c.w"].shape[0] == 3
+
     def test_temporal_kernel_schedule(self):
         assert micro_config(n_in=5).temporal_kernels() == (3, 3)
         assert micro_config(n_in=4).temporal_kernels() == (3, 2)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -231,6 +232,21 @@ class TestDatasetIo:
         lines[0] = lines[0].replace('"n_vehicles": [2, 3]', '"n_vehicles": 3', 1)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r":1:.*sim\.n_vehicles"):
+            import_dataset(path)
+
+    @pytest.mark.parametrize("field,index", [("points", 4), ("points", 0), ("pose", 2), ("pose", 0)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_frame_rejected(self, tmp_path, field, index, value):
+        path = tmp_path / "ds.jsonl"
+        export_dataset(generate_dataset(small_config(seed=1)), path)
+        lines = path.read_text().splitlines()
+        for i, line in enumerate(lines):
+            rec = json.loads(line)
+            if rec["kind"] == "frame" and rec["t"] == 2:
+                rec[field][index] = value
+                lines[i] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="frame 2 has a non-finite point or pose"):
             import_dataset(path)
 
     def test_label_point_counts_match_lidar(self):

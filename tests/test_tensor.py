@@ -7,6 +7,7 @@ import pytest
 
 from bevtrack import tensor as T
 from bevtrack.tensor import TensorError
+from oracles import temporal_group_conv
 
 
 def naive_conv2d(x, w, b, stride, pad):
@@ -165,6 +166,20 @@ class TestConv3d:
         y = T.conv3d(T.Tensor(x), T.Tensor(w), T.Tensor(b), spatial_pad=1)
         np.testing.assert_allclose(y.data, naive_conv3d(x, w, b, 1), atol=1e-12)
 
+    @pytest.mark.parametrize("pad", [0, 1, 2, 3])
+    def test_constant_sparse_input_matches_loop_oracle_at_any_padding(self, pad):
+        rng = np.random.default_rng(12 + pad)
+        x = rng.standard_normal((2, 4, 5, 6)) * (rng.random((2, 4, 5, 6)) < 0.2)
+        w = rng.standard_normal((3, 2, 2, 3, 3))
+        b = rng.standard_normal(3)
+        tape = T.Tape()
+        y = T.conv3d(x, tape.parameter("w", w), b, spatial_pad=pad)
+        np.testing.assert_allclose(y.data, naive_conv3d(x, w, b, pad), rtol=0, atol=1e-12)
+        g = rng.standard_normal(y.shape)
+        T.backward(T.tensor_sum(T.mul(y, T.Tensor(g))), tape)
+        want = naive_conv3d_weight_grad(x, g, w.shape, pad)
+        np.testing.assert_allclose(tape.param_grads["w"], want, rtol=0, atol=1e-12)
+
     def test_insufficient_temporal_context(self):
         with pytest.raises(TensorError, match="temporal"):
             T.conv3d(T.Tensor(np.zeros((1, 2, 4, 4))), T.Tensor(np.zeros((1, 1, 3, 3, 3))), T.Tensor([0.0]))
@@ -192,26 +207,26 @@ class TestTemporalGroupConv:
         rng = np.random.default_rng(1)
         x = rng.standard_normal((4, 2, 3, 3))
         w = np.array([0.0, 0.0, 0.0, 1.0])
-        y = T.temporal_group_conv(T.Tensor(x), T.Tensor(w))
+        y = temporal_group_conv(T.Tensor(x), T.Tensor(w))
         np.testing.assert_array_equal(y.data, x[3])
 
     def test_uniform_weights_give_mean(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((5, 2, 3, 3))
-        y = T.temporal_group_conv(T.Tensor(x), T.Tensor(np.full(5, 0.2)))
+        y = temporal_group_conv(T.Tensor(x), T.Tensor(np.full(5, 0.2)))
         np.testing.assert_allclose(y.data, x.mean(axis=0), atol=1e-12)
 
     def test_matches_summation_oracle(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((3, 4, 5, 5))
         w = rng.standard_normal(3)
-        y = T.temporal_group_conv(T.Tensor(x), T.Tensor(w))
+        y = temporal_group_conv(T.Tensor(x), T.Tensor(w))
         expect = sum(w[t] * x[t] for t in range(3))
         np.testing.assert_allclose(y.data, expect, atol=1e-12)
 
     def test_weight_count_mismatch(self):
         with pytest.raises(TensorError, match="weight count"):
-            T.temporal_group_conv(T.Tensor(np.zeros((3, 1, 2, 2))), T.Tensor(np.zeros(4)))
+            temporal_group_conv(T.Tensor(np.zeros((3, 1, 2, 2))), T.Tensor(np.zeros(4)))
 
     def test_gradients(self):
         rng = np.random.default_rng(4)
@@ -221,13 +236,175 @@ class TestTemporalGroupConv:
         def f(arrays):
             x, w = arrays
             tape = T.Tape()
-            y = T.temporal_group_conv(tape.parameter("x", x), tape.parameter("w", w))
+            y = temporal_group_conv(tape.parameter("x", x), tape.parameter("w", w))
             loss = T.tensor_sum(T.mul(y, y))
             val = loss.item()
             T.backward(loss, tape)
             return val, [tape.param_grads["x"], tape.param_grads["w"]]
 
         finite_diff_check(f, [x0, w0])
+
+
+def naive_conv3d_weight_grad(x, g, kernel_shape, pad):
+    """Gradient of sum(g * conv3d(x, w, b)) in w, summed tap by tap."""
+    kt, kh, kw = kernel_shape[2:]
+    t_out, oh, ow = g.shape[1:]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    gw = np.zeros(kernel_shape)
+    for dt in range(kt):
+        for a in range(kh):
+            for bb in range(kw):
+                win = xp[:, dt : dt + t_out, a : a + oh, bb : bb + ow]
+                gw[:, :, dt, a, bb] = np.einsum("otij,ctij->oc", g, win)
+    return gw
+
+
+def first_layer_input(n_in, seed=0, h=6, w=7, z=2):
+    """Sparse [T, Z, H, W] occupancy; the first and last frames hold a voxel on every border."""
+    rng = np.random.default_rng(seed)
+    occ = (rng.random((n_in, z, h, w)) < 0.08).astype(float)
+    for t in (0, n_in - 1):
+        for zi, hi, wi in ((0, 0, 3), (1, h - 1, 2), (0, 4, 0), (1, 1, w - 1), (0, 0, 0), (1, h - 1, w - 1)):
+            occ[t, zi, hi, wi] = 1.0
+    return occ
+
+
+def assert_close_relative(got, want, rtol=1e-12, scale=None):
+    """|got - want| <= rtol * scale, where scale defaults to max |want|."""
+    scale = np.abs(want).max() if scale is None else scale
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * scale, (np.abs(got - want).max(), scale)
+
+
+def taped_loss(y, g):
+    return T.tensor_sum(T.mul(y, T.Tensor(g)))
+
+
+class TestFirstLayer:
+    """conv3d over a constant occupancy (occupied sites only) against dense oracles."""
+
+    @pytest.mark.parametrize("n_in,kt", [(5, 3), (3, 3), (2, 2), (1, None)])
+    @pytest.mark.parametrize("valued", [False, True])
+    def test_late_fusion_matches_loop_oracles(self, n_in, kt, valued):
+        rng = np.random.default_rng(n_in)
+        occ = first_layer_input(n_in, seed=n_in)
+        if valued:
+            occ *= rng.standard_normal(occ.shape)
+        wshape = (3, 2, 3, 3) if kt is None else (3, 2, kt, 3, 3)
+        w0, b0 = rng.standard_normal(wshape), rng.standard_normal(3)
+        tape = T.Tape()
+        w, b = tape.parameter("w", w0), tape.parameter("b", b0)
+        if kt is None:  # a single frame: the network lifts the 2D kernel to kT = 1
+            w = T.reshape(w, (3, 2, 1, 3, 3))
+        y = T.conv3d(occ.transpose(1, 0, 2, 3), w, b, spatial_pad=1)
+        g = rng.standard_normal(y.shape)
+        T.backward(taped_loss(y, g), tape)
+        x = occ.transpose(1, 0, 2, 3)
+        w5 = w0.reshape(y.shape[0], 2, -1, 3, 3)
+        assert_close_relative(y.data, naive_conv3d(x, w5, b0, 1))
+        gw = naive_conv3d_weight_grad(x, g, w5.shape, 1).reshape(wshape)
+        assert_close_relative(tape.param_grads["w"], gw)
+        assert_close_relative(tape.param_grads["b"], g.sum(axis=(1, 2, 3)))
+
+    def test_site_whose_channels_cancel_still_counts(self):
+        x = np.zeros((2, 1, 4, 4))
+        x[0, 0, 1, 2], x[1, 0, 1, 2] = 1.0, -1.0
+        w = np.random.default_rng(9).standard_normal((2, 2, 1, 3, 3))
+        y = T.conv3d(x, w, np.zeros(2), spatial_pad=1)
+        assert_close_relative(y.data, naive_conv3d(x, w, np.zeros(2), 1))
+        assert np.any(y.data)
+
+    def test_matches_the_dense_taped_path(self):
+        rng = np.random.default_rng(8)
+        x = first_layer_input(5, seed=8).transpose(1, 0, 2, 3)
+        w0, b0 = rng.standard_normal((4, 2, 3, 3, 3)), rng.standard_normal(4)
+        g = rng.standard_normal((4, 3, 6, 7))
+        results = []
+        for taped_input in (False, True):
+            tape = T.Tape()
+            xin = tape.parameter("x", x) if taped_input else x
+            y = T.conv3d(xin, tape.parameter("w", w0), tape.parameter("b", b0), spatial_pad=1)
+            T.backward(taped_loss(y, g), tape)
+            results.append((y.data, tape.param_grads["w"], tape.param_grads["b"]))
+            assert ("x" in tape.param_grads) == taped_input
+        for sparse, dense in zip(*results):
+            assert_close_relative(sparse, dense)
+
+    @pytest.mark.parametrize("n_in", [5, 1])
+    def test_early_fusion_matches_collapse_then_conv2d(self, n_in):
+        rng = np.random.default_rng(20 + n_in)
+        occ = first_layer_input(n_in, seed=n_in)
+        w0, b0, tw0 = rng.standard_normal((3, 2, 3, 3)), rng.standard_normal(3), rng.standard_normal(n_in)
+        self._check_early(occ, w0, b0, tw0, rng)
+
+    def test_temporal_weights_summing_to_zero(self):
+        # equal frames and weights summing to 0 fuse to an all-zero input, yet
+        # every frame's voxels still shape the temporal weights' gradient
+        rng = np.random.default_rng(30)
+        occ = np.repeat(first_layer_input(1, seed=30), 4, axis=0)
+        tw0 = np.array([1.0, -2.0, 0.75, 0.25])
+        w0, b0 = rng.standard_normal((3, 2, 3, 3)), rng.standard_normal(3)
+        grads, g = self._check_early(occ, w0, b0, tw0, rng, skip=("w",))
+        assert np.all(grads["t"] != 0.0)
+        # the weights' gradient is sum_t tw[t] * (one frame's gradient) = 0,
+        # up to rounding on the scale of its terms
+        x0 = occ[:1].transpose(1, 0, 2, 3)
+        one_frame = naive_conv3d_weight_grad(x0, g, (3, 2, 1, 3, 3), 1)
+        scale = np.abs(tw0).sum() * np.abs(one_frame).max()
+        assert_close_relative(grads["w"], np.zeros_like(w0), scale=scale)
+
+    def _check_early(self, occ, w0, b0, tw0, rng, skip=()):
+        tape = T.Tape()
+        w, b, tw = tape.parameter("w", w0), tape.parameter("b", b0), tape.parameter("t", tw0)
+        y = T.conv3d(occ.transpose(1, 0, 2, 3), T.temporal_kernel(w, tw), b, spatial_pad=1)
+        assert y.shape[1] == 1
+        g = rng.standard_normal(y.shape)
+        T.backward(taped_loss(y, g), tape)
+
+        oracle = T.Tape()
+        ow, ob, ot = oracle.parameter("w", w0), oracle.parameter("b", b0), oracle.parameter("t", tw0)
+        fused = temporal_group_conv(T.Tensor(occ), ot)
+        want = T.conv2d(fused, ow, ob, stride=1, pad=1)
+        T.backward(taped_loss(want, g[:, 0]), oracle)
+        assert_close_relative(y.data[:, 0], want.data)
+        for name in ("w", "b", "t"):
+            if name not in skip:
+                assert_close_relative(tape.param_grads[name], oracle.param_grads[name])
+        return tape.param_grads, g
+
+    @pytest.mark.parametrize("fusion,n_in", [("late", 5), ("late", 1), ("early", 5), ("early", 1)])
+    def test_empty_input_gives_bias_and_no_weight_gradient(self, fusion, n_in):
+        rng = np.random.default_rng(40)
+        occ = np.zeros((n_in, 2, 6, 7))
+        b0 = rng.standard_normal(3)
+        tape = T.Tape()
+        b = tape.parameter("b", b0)
+        if fusion == "early":
+            w = T.temporal_kernel(tape.parameter("w", rng.standard_normal((3, 2, 3, 3))), tape.parameter("t", np.ones(n_in)))
+        else:
+            w = tape.parameter("w", rng.standard_normal((3, 2, min(n_in, 3), 3, 3)))
+        y = T.conv3d(occ.transpose(1, 0, 2, 3), w, b, spatial_pad=1)
+        assert np.array_equal(y.data, np.broadcast_to(b0[:, None, None, None], y.shape))
+        T.backward(taped_loss(y, rng.standard_normal(y.shape)), tape)
+        for name, grad in tape.param_grads.items():
+            if name != "b":
+                assert not np.any(grad), name
+
+
+class TestTemporalKernel:
+    def test_kernel_is_outer_product(self):
+        rng = np.random.default_rng(50)
+        w, tw = rng.standard_normal((2, 3, 3, 3)), rng.standard_normal(4)
+        k = T.temporal_kernel(T.Tensor(w), T.Tensor(tw)).data
+        assert k.shape == (2, 3, 4, 3, 3)
+        for t in range(4):
+            np.testing.assert_array_equal(k[:, :, t], w * tw[t])
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(TensorError, match="C_out"):
+            T.temporal_kernel(T.Tensor(np.zeros((2, 3, 3))), T.Tensor(np.zeros(2)))
+        with pytest.raises(TensorError, match="per frame"):
+            T.temporal_kernel(T.Tensor(np.zeros((2, 3, 3, 3))), T.Tensor(np.zeros((2, 2))))
 
 
 class TestMaxPool:

@@ -78,6 +78,11 @@ class TestVoxelize:
         with pytest.raises(ValueError, match="cell"):
             GridSpec(x_range=(0.0, 1.0), y_range=(0.0, 1.0), z_range=(0.0, 1.0), cell=cell)
 
+    @pytest.mark.parametrize("z_range", [(0.0, 0.1), (-0.05, 0.04)])
+    def test_z_range_below_one_cell_rejected(self, z_range):
+        with pytest.raises(ValueError, match="z_range"):
+            GridSpec(x_range=(0.0, 1.0), y_range=(0.0, 1.0), z_range=z_range, cell=0.2)
+
 
 class TestStackTemporal:
     small = GridSpec(x_range=(-4.0, 4.0), y_range=(-4.0, 4.0), z_range=(0.0, 1.0), cell=0.2)

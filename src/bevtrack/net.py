@@ -7,9 +7,10 @@ unpadded-in-time 3D convolutions that collapse the temporal extent to 1;
 early fusion collapses it immediately with a shared temporal weight vector.
 Two sibling heads predict per-anchor vehicle probability and a 6-vector
 regression code for the current frame and each future timestamp. In every
-mode the first layer runs as one conv3d over the occupancy (early fusion's
-kernel is the spatial kernel times the temporal weights), so its cost
-follows the occupied voxels.
+mode the first layer runs as the one conv3d, over the occupancy (early
+fusion's kernel is the spatial kernel times the temporal weights), so its
+cost follows the occupied voxels. Every later layer is a conv2d; late
+fusion's second layer, when frames remain, collapses them with a 5D kernel.
 """
 
 from __future__ import annotations
@@ -180,19 +181,15 @@ def _xavier(rng, shape, fan_in, fan_out):
 
 
 def _conv_specs(config: ModelConfig):
-    """(name, kind, shape) for every trunk convolution, in forward order."""
-    z = config.grid.nz
+    """(name, weight shape, max-pool after) for every trunk convolution, in forward order."""
     specs = []
     t_kernels = config.temporal_kernels() if config.fusion == "late" else ()
-    in_ch = z
+    in_ch = config.grid.nz
     for g, (n_convs, width) in enumerate(zip(GROUP_SIZES, config.widths), start=1):
         for c in range(1, n_convs + 1):
-            name = f"g{g}.c{c}"
-            if g == 1 and config.fusion == "late" and c <= len(t_kernels):
-                kt = t_kernels[c - 1]
-                specs.append((name, "conv3d", (width, in_ch, kt, 3, 3)))
-            else:
-                specs.append((name, "conv2d", (width, in_ch, 3, 3)))
+            kt = t_kernels[c - 1 : c] if g == 1 else ()  # (kT,) while frames remain to collapse
+            pool = c == n_convs and g < len(GROUP_SIZES)
+            specs.append((f"g{g}.c{c}", (width, in_ch, *kt, 3, 3), pool))
             in_ch = width
     return specs
 
@@ -203,7 +200,7 @@ def init_params(config: ModelConfig, seed=0):
     params = {}
     if config.fusion == "early":
         params["temporal.w"] = _xavier(rng, (config.n_in,), config.n_in, 1)
-    for name, kind, shape in _conv_specs(config):
+    for name, shape, _pool in _conv_specs(config):
         fan_in = int(np.prod(shape[1:]))
         fan_out = shape[0] * int(np.prod(shape[2:]))
         params[f"{name}.w"] = _xavier(rng, shape, fan_in, fan_out)
@@ -254,25 +251,21 @@ class Model:
         # [Z, T, X, Y] view of the constant input: the first layer is a conv3d
         # that reads only its occupied voxels, for every fusion mode
         x = occ.transpose(1, 0, 2, 3)
-        for name, kind, shape in _conv_specs(cfg):
-            w = p[f"{name}.w"]
+        for name, shape, pool in _conv_specs(cfg):
+            w, b = p[f"{name}.w"], p[f"{name}.b"]
             if name == "g1.c1":
                 if cfg.fusion == "early":
                     w = T.temporal_kernel(w, p["temporal.w"])
-                elif kind == "conv2d":  # late fusion with n_in == 1
+                elif len(shape) == 4:  # late fusion with n_in == 1
                     w = T.reshape(w, (shape[0], shape[1], 1) + shape[2:])
-                kind = "conv3d"
-            if kind == "conv3d":
-                x = T.conv3d(x, w, p[f"{name}.b"], spatial_pad=1)
-                if x.shape[1] == 1:  # temporal extent collapsed; 2D convolutions follow
+                x = T.conv3d(x, w, b, spatial_pad=1)
+                if x.shape[1] == 1:  # temporal extent collapsed
                     x = T.reshape(x, (x.shape[0], x.shape[2], x.shape[3]))
-            else:
-                x = T.conv2d(x, w, p[f"{name}.b"], stride=1, pad=1)
+            else:  # late fusion's g1.c2 may still collapse frames, with a 5D kernel
+                x = T.conv2d(x, w, b, pad=1)
             x = T.relu(x)
-            gpart, cpart = name.split(".")
-            group, conv_idx = int(gpart[1:]), int(cpart[1:])
-            if group <= 3 and conv_idx == GROUP_SIZES[group - 1]:
-                x = T.maxpool2d(x, 2, 2)
+            if pool:
+                x = T.maxpool2d(x)
 
         def head(branch):
             h = T.conv2d(x, p[f"head.{branch}.c.w"], p[f"head.{branch}.c.b"], pad=1)

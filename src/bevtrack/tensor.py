@@ -1,15 +1,19 @@
 """Minimal dense tensor library with reverse-mode automatic differentiation.
 
-Provides exactly the operators the BEV detection networks need: 2D/3D
-convolution (3D over a constant input reads only its occupied sites), the
-early-fusion kernel, max-pooling, sigmoid/relu, the two loss terms, and
-Adam. Only operands recorded on the tape receive gradients. Everything is
-float64 and single-threaded; tensors are immutable values once created.
+Provides exactly the operators the BEV detection networks need: the one
+dense convolution (conv2d, whose 5D kernel can also collapse the frames of a
+[C,T,H,W] input), a sparse 3D convolution over a constant input that reads
+only its occupied sites (conv3d, the first layer), the early-fusion kernel,
+2x2 max-pooling, sigmoid/relu, the two loss terms, and Adam. Only operands
+recorded on the tape receive gradients. Everything is float64 and
+single-threaded; tensors are immutable values once created.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -193,77 +197,99 @@ def reshape(x, shape):
 # convolution
 
 
-def _im2col(x, kh, kw, stride, pad):
+def _im2col(x, kh, kw, pad):
     c, h, w = x.shape
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
+    oh, ow = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
     cols = np.empty((c, kh, kw, oh, ow))
     for i in range(kh):
         for j in range(kw):
-            cols[:, i, j] = xp[:, i : i + oh * stride : stride, j : j + ow * stride : stride]
-    return cols.reshape(c * kh * kw, oh * ow), oh, ow
+            cols[:, i, j] = xp[:, i : i + oh, j : j + ow]
+    return cols.reshape(c * kh * kw, oh * ow)
 
 
-def _col2im(cols, x_shape, kh, kw, stride, pad, oh, ow):
+def _col2im(cols, x_shape, kh, kw, pad):
     c, h, w = x_shape
+    oh, ow = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
     xp = np.zeros((c, h + 2 * pad, w + 2 * pad))
     cols = cols.reshape(c, kh, kw, oh, ow)
     for i in range(kh):
         for j in range(kw):
-            xp[:, i : i + oh * stride : stride, j : j + ow * stride : stride] += cols[:, i, j]
-    if pad:
-        return xp[:, pad : pad + h, pad : pad + w]
-    return xp
+            xp[:, i : i + oh, j : j + ow] += cols[:, i, j]
+    return xp[:, pad : pad + h, pad : pad + w]
 
 
-def conv2d(x, weights, bias, stride=1, pad=0):
-    """Cross-correlation of [C_in,H,W] with [C_out,C_in,kH,kW] plus bias."""
+def conv2d(x, weights, bias, pad=0):
+    """Cross-correlation of [C_in,H,W] with [C_out,C_in,kH,kW] plus bias.
+
+    A [C_in,T,H,W] input takes a [C_out,C_in,T,kH,kW] kernel that spans all
+    T frames, so time collapses: the [C_out,H',W'] output sums one im2col
+    GEMM per frame.
+    """
     xd, wd, bd = _as_array(x), _as_array(weights), _as_array(bias)
-    if xd.ndim != 3:
-        raise TensorError(f"conv2d input must be [C,H,W], got {xd.shape}")
-    if wd.ndim != 4:
-        raise TensorError(f"conv2d weights must be [C_out,C_in,kH,kW], got {wd.shape}")
-    c_out, c_in, kh, kw = wd.shape
+    if (xd.ndim, wd.ndim) not in ((3, 4), (4, 5)):
+        raise TensorError(
+            "conv2d takes [C,H,W] with [C_out,C_in,kH,kW] weights or [C,T,H,W] with"
+            f" [C_out,C_in,T,kH,kW] weights, got {xd.shape} and {wd.shape}"
+        )
+    c_out, c_in, kh, kw = wd.shape[:2] + wd.shape[-2:]
+    t = wd.shape[2] if wd.ndim == 5 else 1
     if kh % 2 == 0 or kw % 2 == 0:
         raise TensorError(f"conv2d kernel extents must be odd, got {kh}x{kw}")
     if xd.shape[0] != c_in:
         raise TensorError(f"conv2d channel mismatch: input C={xd.shape[0]}, weights C_in={c_in}")
+    if xd.ndim == 4 and xd.shape[1] != t:
+        raise TensorError(f"conv2d kernel spans T={t} frames, input has T={xd.shape[1]}")
     if bd.shape != (c_out,):
         raise TensorError(f"conv2d bias must have shape ({c_out},), got {bd.shape}")
-    if stride < 1:
-        raise TensorError("conv2d stride must be >= 1")
-    _, h, w = xd.shape
-    if (h + 2 * pad - kh) % stride or (w + 2 * pad - kw) % stride:
-        raise TensorError(f"conv2d output extent not integral for H={h}, W={w}")
+    h, w = xd.shape[-2:]
     if h + 2 * pad < kh or w + 2 * pad < kw:
         raise TensorError(f"conv2d kernel {kh}x{kw} exceeds padded input {h + 2 * pad}x{w + 2 * pad}")
+    oh, ow = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
 
-    cols, oh, ow = _im2col(xd, kh, kw, stride, pad)
-    wmat = wd.reshape(c_out, c_in * kh * kw)
-    y = (wmat @ cols).reshape(c_out, oh, ow) + bd[:, None, None]
+    frames = xd.reshape(c_in, t, h, w)
+    wmat = wd.reshape(c_out, c_in, t, kh * kw).transpose(2, 0, 1, 3).reshape(t, c_out, c_in * kh * kw)
+    cols = [_im2col(frames[:, i], kh, kw, pad) for i in range(t)]
+    acc = wmat[0] @ cols[0]
+    for i in range(1, t):
+        acc += wmat[i] @ cols[i]
+    y = acc.reshape(c_out, oh, ow) + bd[:, None, None]
 
     def grad_x(g):
-        gcols = wmat.T @ g.reshape(c_out, oh * ow)
-        return _col2im(gcols, xd.shape, kh, kw, stride, pad, oh, ow)
+        gmat = g.reshape(c_out, oh * ow)
+        gx = [_col2im(wm.T @ gmat, (c_in, h, w), kh, kw, pad) for wm in wmat]
+        return np.stack(gx, axis=1).reshape(xd.shape)
+
+    def grad_w(g):
+        gmat = g.reshape(c_out, oh * ow)
+        gw = [(gmat @ col.T).reshape(c_out, c_in, kh, kw) for col in cols]
+        return np.stack(gw, axis=2).reshape(wd.shape)
 
     return _node(
         y,
         (x, grad_x),
-        (weights, lambda g: (g.reshape(c_out, oh * ow) @ cols.T).reshape(wd.shape)),
+        (weights, grad_w),
         (bias, lambda g: g.reshape(c_out, oh * ow).sum(axis=1)),
     )
 
 
 def conv3d(x, weights, bias, spatial_pad=0):
-    """Spatio-temporal cross-correlation; padding applies to H,W only.
+    """Sparse spatio-temporal cross-correlation of a constant [C_in,T,H,W] input.
 
-    Input is [C_in,T,H,W]; the temporal extent shrinks by kT-1. An input
-    recorded on a tape runs through dense im2col and gets a gradient. Any
-    other input is a constant: the output is computed from its occupied sites
-    alone, and only the weights and bias get gradients.
+    Padding applies to H,W only; the temporal extent shrinks by kT-1. The
+    input (the occupancy) must not be on a tape, so only the weights and bias
+    get gradients; taped frames collapse through conv2d instead. The output is
+    computed from the occupied sites alone: a site is a (t, h, w) cell where
+    any channel is nonzero. Each kernel offset adds the sites' channel vectors
+    times its [C_out, C_in] weight slice at the sites' cells shifted by the
+    offset; no two sites of one offset share a cell. The sums go into an
+    output padded wide enough that every shifted cell lands inside it, and the
+    padding is cropped off. The weight gradient gathers the output gradient at
+    the same cells (gather-GEMM-scatter, as in SECOND's sparse convolution).
     """
     xd, wd, bd = _as_array(x), _as_array(weights), _as_array(bias)
+    if isinstance(x, Tensor) and x.tape is not None:
+        raise TensorError("conv3d input must be a constant, not on a tape; conv2d collapses taped frames")
     if xd.ndim != 4:
         raise TensorError(f"conv3d input must be [C,T,H,W], got {xd.shape}")
     if wd.ndim != 5:
@@ -282,67 +308,6 @@ def conv3d(x, weights, bias, spatial_pad=0):
     if h + 2 * pad < kh or w + 2 * pad < kw:
         raise TensorError("conv3d spatial kernel exceeds padded input")
 
-    if isinstance(x, Tensor) and x.tape is not None:
-        y, grad_x, grad_w = _conv3d_dense(xd, wd, bd, pad)
-    else:
-        y, grad_w = _conv3d_sites(xd, wd, bd, pad)
-        grad_x = None  # never called: a constant is not a parent
-    return _node(y, (x, grad_x), (weights, grad_w), (bias, lambda g: g.sum(axis=(1, 2, 3))))
-
-
-def _conv3d_dense(xd, wd, bd, pad):
-    """conv3d by per-frame im2col; returns (y, grad_x, grad_w)."""
-    c_out, c_in, kt, kh, kw = wd.shape
-    c, t, h, w = xd.shape
-    t_out = t - kt + 1
-    oh = h + 2 * pad - kh + 1
-    ow = w + 2 * pad - kw + 1
-    wmat = wd.transpose(0, 2, 1, 3, 4).reshape(c_out, kt, c_in * kh * kw)
-    cols = [None] * t
-    y = np.empty((c_out, t_out, oh, ow))
-    for to in range(t_out):
-        acc = np.zeros((c_out, oh * ow))
-        for dt in range(kt):
-            ti = to + dt
-            if cols[ti] is None:
-                cols[ti], _, _ = _im2col(xd[:, ti], kh, kw, 1, pad)
-            acc += wmat[:, dt] @ cols[ti]
-        y[:, to] = acc.reshape(c_out, oh, ow)
-    y += bd[:, None, None, None]
-
-    def grad_x(g):
-        gx = np.zeros_like(xd)
-        for to in range(t_out):
-            gmat = g[:, to].reshape(c_out, oh * ow)
-            for dt in range(kt):
-                gcols = wmat[:, dt].T @ gmat
-                gx[:, to + dt] += _col2im(gcols, (c, h, w), kh, kw, 1, pad, oh, ow)
-        return gx
-
-    def grad_w(g):
-        gw = np.zeros((c_out, kt, c_in * kh * kw))
-        for to in range(t_out):
-            gmat = g[:, to].reshape(c_out, oh * ow)
-            for dt in range(kt):
-                gw[:, dt] += gmat @ cols[to + dt].T
-        return gw.reshape(c_out, kt, c_in, kh, kw).transpose(0, 2, 1, 3, 4)
-
-    return y, grad_x, grad_w
-
-
-def _conv3d_sites(xd, wd, bd, pad):
-    """conv3d of a constant input from its occupied sites; returns (y, grad_w).
-
-    A site is a (t, h, w) cell where any channel is nonzero. Each kernel
-    offset adds the sites' channel vectors times its [C_out, C_in] weight
-    slice at the sites' cells shifted by the offset; no two sites of one
-    offset share a cell. The sums go into an output padded wide enough that
-    every shifted cell lands inside it, and the padding is cropped off. The
-    weight gradient gathers the output gradient at the same cells
-    (gather-GEMM-scatter, as in SECOND's sparse convolution).
-    """
-    c_out, _, kt, kh, kw = wd.shape
-    _, t, h, w = xd.shape
     t_out = t - kt + 1
     oh = h + 2 * pad - kh + 1
     ow = w + 2 * pad - kw + 1
@@ -376,7 +341,7 @@ def _conv3d_sites(xd, wd, bd, pad):
             gw[(slice(None), slice(None)) + offset] = gp[:, cell] @ src.T
         return gw
 
-    return y, grad_w
+    return _node(y, (weights, grad_w), (bias, lambda g: g.sum(axis=(1, 2, 3))))
 
 
 def temporal_kernel(weights, temporal):
@@ -398,13 +363,12 @@ def temporal_kernel(weights, temporal):
     )
 
 
-def maxpool2d(x, k=2, stride=2):
-    """Max pooling with floor truncation; gradient routes to the lowest-index max."""
+def maxpool2d(x):
+    """2x2 max pooling at stride 2 with floor truncation; gradient routes to the lowest-index max."""
     xd = _as_array(x)
     if xd.ndim != 3:
         raise TensorError(f"maxpool2d input must be [C,H,W], got {xd.shape}")
-    if k != stride:
-        raise TensorError("maxpool2d supports k == stride only")
+    k = 2
     c, h, w = xd.shape
     oh, ow = h // k, w // k
     if oh == 0 or ow == 0:
@@ -546,13 +510,20 @@ def load_checkpoint(path):
             config = header.get("config")
         except (KeyError, TypeError, ValueError) as e:
             raise TensorError(f"malformed checkpoint header: {e}") from None
+        left = os.fstat(f.fileno()).st_size - f.tell()
         params = {}
         for name, shape in entries:
-            n = int(np.prod(shape)) if shape else 1
-            raw = f.read(8 * n)
-            if len(raw) != 8 * n:
-                raise TensorError(f"checkpoint truncated while reading {name}")
-            params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            nbytes = 8 * math.prod(shape)  # a Python int, checked before anything is read
+            if min(shape, default=0) < 0:
+                raise TensorError(f"checkpoint tensor {name} has a negative dimension in {shape}")
+            if nbytes > left:
+                raise TensorError(f"checkpoint truncated: {name} needs {nbytes} bytes, {left} left")
+            left -= nbytes
+            flat = np.frombuffer(f.read(nbytes), dtype="<f8")
+            try:
+                params[name] = flat.reshape(shape).copy()
+            except ValueError as e:  # an empty tensor with a dimension numpy cannot index
+                raise TensorError(f"checkpoint tensor {name} has an impossible shape {shape}: {e}") from None
             if not np.isfinite(params[name]).all():
                 raise TensorError(f"checkpoint tensor {name} holds a non-finite value")
         trailing = f.read(1)

@@ -42,7 +42,7 @@ class LidarFrame:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform metric grid; half-open bins [min, max) on every axis."""
+    """Uniform metric grid; half-open bins [min, max) on every axis, each range whole cells."""
 
     x_range: tuple[float, float]
     y_range: tuple[float, float]
@@ -55,12 +55,11 @@ class GridSpec:
         for name, (lo, hi) in (("x", self.x_range), ("y", self.y_range), ("z", self.z_range)):
             if hi <= lo:
                 raise ValueError(f"{name}_range must have positive length")
-        for name, (lo, hi) in (("x", self.x_range), ("y", self.y_range)):
             n = (hi - lo) / self.cell
             if abs(n - round(n)) > 1e-9:
-                raise ValueError(f"{name}_range length must be an integer number of cells")
-        if self.nz < 1:
-            raise ValueError(f"z_range {tuple(self.z_range)} holds no whole cell of size {self.cell}")
+                raise ValueError(
+                    f"{name}_range {(lo, hi)} length must be an integer number of cells of size {self.cell}"
+                )
 
     @property
     def nx(self):

@@ -111,12 +111,14 @@ def test_wrong_typed_value_ends_in_error(assignments, tmp_path, capsys):
 
 
 # Out-of-range values: a zero width ended in a ZeroDivisionError traceback,
-# a z_range shorter than one cell ran every command on a network with no input.
+# a z_range shorter than one cell ran every command on a network with no input,
+# and one of partial cells silently moved the top of the height range.
 OUT_OF_RANGE = [
     ("train", "model.widths=[0,1,1,1]"),
     ("train", "model.widths=[2,2,2,-2]"),
     ("train", "model.head_width=-1"),
     ("generate", "grid.z_range=[0,0.1]"),
+    ("generate", "grid.z_range=[0,0.5]"),
 ]
 
 
@@ -248,24 +250,33 @@ class TestLoadersFailClosed:
     def test_truncated_checkpoint_ends_in_error(self, trained, capsys):
         cfg, dataset, ckpt, tmp_path = trained
         data = open(ckpt, "rb").read()
-        bad = tmp_path / "bad.bin"
+        # one new file per cut: rewriting one existing file costs far more on some file systems
+        cut = [tmp_path / f"cut{n}.bin" for n in range(len(data))]
         for n in range(len(data)):
-            bad.write_bytes(data[:n])
+            cut[n].write_bytes(data[:n])
             with pytest.raises(T.TensorError):
-                T.load_checkpoint(bad)
+                T.load_checkpoint(cut[n])
         rng = np.random.default_rng(0)
         for n in sorted({0, 4, 11, 12, len(data) - 1, *rng.integers(0, len(data), 30).tolist()}):
-            bad.write_bytes(data[:n])
-            assert run("--config", cfg, "--out", str(tmp_path / "e"), "eval", dataset, str(bad)) == 1
+            assert run("--config", cfg, "--out", str(tmp_path / "e"), "eval", dataset, str(cut[n])) == 1
             assert capsys.readouterr().err.startswith("error:")
+
+    def test_checkpoint_of_an_impossible_shape_ends_in_error(self, trained, capsys):
+        cfg, dataset, _ckpt, tmp_path = trained
+        header = json.dumps({"version": 1, "params": [{"name": "p", "shape": [10**12]}], "config": None}).encode()
+        bad = tmp_path / "huge.bin"
+        bad.write_bytes(T.CHECKPOINT_MAGIC + struct.pack("<II", 1, len(header)) + header)
+        assert run("--config", cfg, "--out", str(tmp_path / "e"), "eval", dataset, str(bad)) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_dataset_with_a_line_dropped_or_cut(self, cfg_path, tmp_path, capsys):
         run("--config", cfg_path, "--out", str(tmp_path / "d"), "generate")
-        bad = tmp_path / "bad.jsonl"
-        for line, dropped, cut in dropped_and_cut(tmp_path / "d" / "dataset.jsonl", seed=1):
-            for variant, ok in ((dropped, '"kind": "label"' in line), (cut, False)):
+        variants = dropped_and_cut(tmp_path / "d" / "dataset.jsonl", seed=1)
+        for i, (line, dropped, cut) in enumerate(variants):
+            for name, variant, ok in ((f"dropped{i}", dropped, '"kind": "label"' in line), (f"cut{i}", cut, False)):
+                bad = tmp_path / f"{name}.jsonl"
                 bad.write_text(variant)
-                code = run("--config", cfg_path, "--out", str(tmp_path / "r"), "render", str(bad))
+                code = run("--config", cfg_path, "--out", str(tmp_path / f"r{name}"), "render", str(bad))
                 err = capsys.readouterr().err
                 assert (code, err.startswith("error:")) == ((0, False) if ok else (1, True)), (line, err)
 
@@ -277,15 +288,17 @@ class TestLoadersFailClosed:
         dump_tracklets([TrackletFrame(t, 3, b, 0.9, "live") for t, b in enumerate(boxes)], tracklets)
         config = tmp_path / "pretty.json"
         config.write_text(json.dumps(TINY, indent=1))
-        bad = tmp_path / "bad"
+        n = 0
         for good, args in (
-            (tracklets, ("--config", cfg_path, "render", dataset, "--tracklets", str(bad))),
-            (config, ("--config", str(bad), "render", dataset)),
+            (tracklets, lambda bad: ("--config", cfg_path, "render", dataset, "--tracklets", bad)),
+            (config, lambda bad: ("--config", bad, "render", dataset)),
         ):
             for line, *variants in dropped_and_cut(good, seed=2):
                 for variant in variants:
+                    n += 1
+                    bad = tmp_path / f"bad{n}"
                     bad.write_text(variant)
-                    code = run("--out", str(tmp_path / "r"), *args)
+                    code = run("--out", str(tmp_path / f"r{n}"), *args(str(bad)))
                     err = capsys.readouterr().err
                     assert code == 0 or (code == 1 and err.startswith("error:")), (line, err)
 

@@ -232,6 +232,35 @@ class TestForward:
             assert np.array_equal(o1.reg, o2.reg)
 
 
+class TestConvolutionRouting:
+    LATER = ("g1.c2", "g2.c1", "g2.c2", "g3.c1", "g3.c2", "g3.c3", "g4.c1", "g4.c2", "g4.c3",
+             "head.cls.c", "head.cls.p", "head.reg.c", "head.reg.p")
+
+    @pytest.mark.parametrize("fusion,n_in", [("late", 5), ("late", 4), ("late", 3), ("late", 1), ("early", 5), ("early", 1)])
+    def test_one_sparse_conv3d_then_conv2d_with_named_weights(self, fusion, n_in, monkeypatch):
+        calls = []
+
+        def spy(kind, fn):
+            def recorded(x, w, b, **kw):
+                calls.append((kind, x, w))
+                return fn(x, w, b, **kw)
+
+            return recorded
+
+        monkeypatch.setattr(T, "conv3d", spy("conv3d", T.conv3d))
+        monkeypatch.setattr(T, "conv2d", spy("conv2d", T.conv2d))
+        model = Model(micro_config(fusion=fusion, n_in=n_in), seed=0)
+        occ = (np.random.default_rng(n_in).random((n_in, 2, 16, 16)) > 0.8).astype(float)
+        for tape in (None, T.Tape()):
+            calls.clear()
+            model.forward(InputTensor(occ), tape=tape)
+            (kind, x, _w), *rest = calls
+            assert kind == "conv3d" and type(x) is np.ndarray
+            assert [k for k, _x, _w in rest] == ["conv2d"] * len(self.LATER)
+            assert [w.name for _k, _x, w in rest] == [f"{label}.w" for label in self.LATER]
+            assert all(w.shape == model.params[w.name].shape for _k, _x, w in rest)
+
+
 class TestDecode:
     def test_exact_code_roundtrip_through_head(self):
         cfg = micro_config(n_out=2)

@@ -1,5 +1,7 @@
 import gc
+import json
 import math
+import struct
 import weakref
 
 import numpy as np
@@ -10,11 +12,11 @@ from bevtrack.tensor import TensorError
 from oracles import temporal_group_conv
 
 
-def naive_conv2d(x, w, b, stride, pad):
+def naive_conv2d(x, w, b, pad):
     c_out, c_in, kh, kw = w.shape
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-    oh = (x.shape[1] + 2 * pad - kh) // stride + 1
-    ow = (x.shape[2] + 2 * pad - kw) // stride + 1
+    oh = x.shape[1] + 2 * pad - kh + 1
+    ow = x.shape[2] + 2 * pad - kw + 1
     y = np.zeros((c_out, oh, ow))
     for co in range(c_out):
         for i in range(oh):
@@ -23,7 +25,7 @@ def naive_conv2d(x, w, b, stride, pad):
                 for ci in range(c_in):
                     for a in range(kh):
                         for bb in range(kw):
-                            acc += xp[ci, i * stride + a, j * stride + bb] * w[co, ci, a, bb]
+                            acc += xp[ci, i + a, j + bb] * w[co, ci, a, bb]
                 y[co, i, j] = acc + b[co]
     return y
 
@@ -85,7 +87,7 @@ class TestConv2d:
     def test_ones_kernel_center(self):
         x = np.ones((1, 3, 3))
         w = np.ones((1, 1, 3, 3))
-        y = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor([0.0]), 1, 1)
+        y = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor([0.0]), pad=1)
         assert y.data[0, 1, 1] == 9.0
 
     def test_identity_case(self):
@@ -97,19 +99,20 @@ class TestConv2d:
         x = rng.standard_normal((2, 5, 5))
         w = rng.standard_normal((3, 2, 3, 3))
         b = rng.standard_normal(3)
-        y = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b), 1, 1)
-        np.testing.assert_allclose(y.data, naive_conv2d(x, w, b, 1, 1), atol=1e-12)
+        y = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b), pad=1)
+        np.testing.assert_allclose(y.data, naive_conv2d(x, w, b, 1), atol=1e-12)
 
-    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1)])
-    def test_oracle_shapes_up_to_4488(self, stride, pad):
-        rng = np.random.default_rng(stride * 10 + pad)
-        size = 8 if stride == 1 else 7
+    @pytest.mark.parametrize("frames,pad", [(1, 0), (1, 1), (2, 1), (3, 0)])
+    def test_oracle_shapes_up_to_4488(self, frames, pad):
+        # one frame is a [C,H,W] input; more frames collapse through a kernel spanning them
+        rng = np.random.default_rng(frames * 10 + pad)
         for _ in range(3):
-            x = rng.standard_normal((4, size, size))
-            w = rng.standard_normal((4, 4, 3, 3))
+            x = rng.standard_normal((4, 8, 8) if frames == 1 else (4, frames, 8, 8))
+            w = rng.standard_normal((4, 4, 3, 3) if frames == 1 else (4, 4, frames, 3, 3))
             b = rng.standard_normal(4)
-            y = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b), stride, pad)
-            np.testing.assert_allclose(y.data, naive_conv2d(x, w, b, stride, pad), atol=1e-12)
+            y = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b), pad=pad)
+            want = naive_conv2d(x, w, b, pad) if frames == 1 else naive_conv3d(x, w, b, pad)[:, 0]
+            np.testing.assert_allclose(y.data, want, atol=1e-12)
 
     def test_channel_mismatch_names_dimension(self):
         with pytest.raises(TensorError, match="C"):
@@ -131,7 +134,30 @@ class TestConv2d:
             xt = tape.parameter("x", x)
             wt = tape.parameter("w", w)
             bt = tape.parameter("b", b)
-            y = T.conv2d(xt, wt, bt, 1, 1)
+            y = T.conv2d(xt, wt, bt, pad=1)
+            loss = T.tensor_sum(T.mul(y, y))
+            val = loss.item()
+            T.backward(loss, tape)
+            return val, [tape.param_grads["x"], tape.param_grads["w"], tape.param_grads["b"]]
+
+        finite_diff_check(f, [x0, w0, b0])
+
+    def test_frame_count_must_match_the_kernel(self):
+        with pytest.raises(TensorError, match="T=3"):
+            T.conv2d(T.Tensor(np.zeros((1, 4, 4, 4))), T.Tensor(np.zeros((1, 1, 3, 3, 3))), T.Tensor([0.0]))
+        with pytest.raises(TensorError, match=r"\[C,T,H,W\]"):
+            T.conv2d(T.Tensor(np.zeros((1, 4, 4))), T.Tensor(np.zeros((1, 1, 1, 3, 3))), T.Tensor([0.0]))
+
+    def test_frame_gradients(self):
+        rng = np.random.default_rng(5)
+        x0 = rng.standard_normal((1, 3, 4, 4))
+        w0 = rng.standard_normal((2, 1, 3, 3, 3))
+        b0 = rng.standard_normal(2)
+
+        def f(arrays):
+            x, w, b = arrays
+            tape = T.Tape()
+            y = T.conv2d(tape.parameter("x", x), tape.parameter("w", w), tape.parameter("b", b), pad=1)
             loss = T.tensor_sum(T.mul(y, y))
             val = loss.item()
             T.backward(loss, tape)
@@ -185,21 +211,28 @@ class TestConv3d:
             T.conv3d(T.Tensor(np.zeros((1, 2, 4, 4))), T.Tensor(np.zeros((1, 1, 3, 3, 3))), T.Tensor([0.0]))
 
     def test_gradients(self):
+        # only the weights and bias are taped: the input is a constant
         rng = np.random.default_rng(5)
-        x0 = rng.standard_normal((1, 3, 4, 4))
+        x = rng.standard_normal((1, 3, 4, 4)) * (rng.random((1, 3, 4, 4)) < 0.5)
         w0 = rng.standard_normal((2, 1, 2, 3, 3))
         b0 = rng.standard_normal(2)
 
         def f(arrays):
-            x, w, b = arrays
+            w, b = arrays
             tape = T.Tape()
-            y = T.conv3d(tape.parameter("x", x), tape.parameter("w", w), tape.parameter("b", b), 1)
+            y = T.conv3d(x, tape.parameter("w", w), tape.parameter("b", b), 1)
             loss = T.tensor_sum(T.mul(y, y))
             val = loss.item()
             T.backward(loss, tape)
-            return val, [tape.param_grads["x"], tape.param_grads["w"], tape.param_grads["b"]]
+            return val, [tape.param_grads["w"], tape.param_grads["b"]]
 
-        finite_diff_check(f, [x0, w0, b0])
+        finite_diff_check(f, [w0, b0])
+
+    def test_taped_input_rejected(self):
+        tape = T.Tape()
+        x = tape.parameter("x", np.ones((1, 3, 4, 4)))
+        with pytest.raises(TensorError, match="tape"):
+            T.conv3d(x, T.Tensor(np.ones((2, 1, 3, 3, 3))), T.Tensor(np.zeros(2)), spatial_pad=1)
 
 
 class TestTemporalGroupConv:
@@ -315,20 +348,25 @@ class TestFirstLayer:
         assert np.any(y.data)
 
     def test_matches_the_dense_taped_path(self):
+        # taped frames collapse through conv2d: each output frame of the sparse
+        # conv3d equals conv2d over the kT frames it reads
         rng = np.random.default_rng(8)
         x = first_layer_input(5, seed=8).transpose(1, 0, 2, 3)
         w0, b0 = rng.standard_normal((4, 2, 3, 3, 3)), rng.standard_normal(4)
         g = rng.standard_normal((4, 3, 6, 7))
-        results = []
-        for taped_input in (False, True):
-            tape = T.Tape()
-            xin = tape.parameter("x", x) if taped_input else x
-            y = T.conv3d(xin, tape.parameter("w", w0), tape.parameter("b", b0), spatial_pad=1)
-            T.backward(taped_loss(y, g), tape)
-            results.append((y.data, tape.param_grads["w"], tape.param_grads["b"]))
-            assert ("x" in tape.param_grads) == taped_input
-        for sparse, dense in zip(*results):
-            assert_close_relative(sparse, dense)
+        tape = T.Tape()
+        y = T.conv3d(x, tape.parameter("w", w0), tape.parameter("b", b0), spatial_pad=1)
+        T.backward(taped_loss(y, g), tape)
+        dense = T.Tape()
+        w, b = dense.parameter("w", w0), dense.parameter("b", b0)
+        frames = [T.conv2d(x[:, to : to + 3], w, b, pad=1) for to in range(3)]
+        loss = taped_loss(frames[0], g[:, 0])
+        for to in (1, 2):
+            loss = T.add(loss, taped_loss(frames[to], g[:, to]))
+        T.backward(loss, dense)
+        assert_close_relative(y.data, np.stack([f.data for f in frames], axis=1))
+        for name in ("w", "b"):
+            assert_close_relative(tape.param_grads[name], dense.param_grads[name])
 
     @pytest.mark.parametrize("n_in", [5, 1])
     def test_early_fusion_matches_collapse_then_conv2d(self, n_in):
@@ -364,7 +402,7 @@ class TestFirstLayer:
         oracle = T.Tape()
         ow, ob, ot = oracle.parameter("w", w0), oracle.parameter("b", b0), oracle.parameter("t", tw0)
         fused = temporal_group_conv(T.Tensor(occ), ot)
-        want = T.conv2d(fused, ow, ob, stride=1, pad=1)
+        want = T.conv2d(fused, ow, ob, pad=1)
         T.backward(taped_loss(want, g[:, 0]), oracle)
         assert_close_relative(y.data[:, 0], want.data)
         for name in ("w", "b", "t"):
@@ -556,7 +594,7 @@ class TestBackward:
         def f(arrays):
             w, b = arrays
             tape = T.Tape()
-            y = T.relu(T.conv2d(T.Tensor(x), tape.parameter("w", w), tape.parameter("b", b), 1, 1))
+            y = T.relu(T.conv2d(T.Tensor(x), tape.parameter("w", w), tape.parameter("b", b), pad=1))
             loss = T.tensor_sum(T.mul(y, y))
             val = loss.item()
             T.backward(loss, tape)
@@ -636,7 +674,7 @@ class TestBackward:
             x = T.Tensor(rng.standard_normal((2, 6, 6)))
             w = tape.parameter("w", rng.standard_normal((2, 2, 3, 3)))
             b = tape.parameter("b", rng.standard_normal(2))
-            y = T.maxpool2d(T.relu(T.conv2d(x, w, b, 1, 1)))
+            y = T.maxpool2d(T.relu(T.conv2d(x, w, b, pad=1)))
             loss = T.tensor_sum(T.mul(y, y))
             T.backward(loss, tape)
             return loss.item(), tape.param_grads["w"].copy()
@@ -695,6 +733,14 @@ class TestCheckpoint:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"nope" + b"\0" * 16)
         with pytest.raises(TensorError, match="magic"):
+            T.load_checkpoint(path)
+
+    @pytest.mark.parametrize("shape", [[10**12], [10**30], [-1, 3], [2**62, 4], [2**62, 0]])
+    def test_impossible_shape_rejected_before_reading(self, tmp_path, shape):
+        header = json.dumps({"version": 1, "params": [{"name": "p", "shape": shape}], "config": None}).encode()
+        path = tmp_path / "ck.bin"
+        path.write_bytes(T.CHECKPOINT_MAGIC + struct.pack("<II", 1, len(header)) + header + bytes(24))
+        with pytest.raises(TensorError, match="checkpoint"):
             T.load_checkpoint(path)
 
     def test_truncation_rejected(self, tmp_path):

@@ -83,6 +83,12 @@ class TestVoxelize:
         with pytest.raises(ValueError, match="z_range"):
             GridSpec(x_range=(0.0, 1.0), y_range=(0.0, 1.0), z_range=z_range, cell=0.2)
 
+    @pytest.mark.parametrize("z_range", [(0.0, 0.5), (0.0, 1.1)])
+    def test_z_range_of_partial_cells_rejected(self, z_range):
+        # rounded, [0, 0.5] dropped a point at z = 0.45 and [0, 1.1] kept one at 1.15
+        with pytest.raises(ValueError, match="z_range"):
+            GridSpec(x_range=(0.0, 1.0), y_range=(0.0, 1.0), z_range=z_range, cell=0.2)
+
 
 class TestStackTemporal:
     small = GridSpec(x_range=(-4.0, 4.0), y_range=(-4.0, 4.0), z_range=(0.0, 1.0), cell=0.2)

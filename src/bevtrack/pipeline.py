@@ -86,13 +86,12 @@ def evaluate_detection(detection_sets, dataset: Dataset, eval_cfg: EvalConfig):
     }
 
 
-def evaluate_tracking(detection_sets, dataset: Dataset, n_out, eval_cfg: EvalConfig,
-                      match_thr=0.5, min_points=None):
+def evaluate_tracking(detection_sets, dataset: Dataset, n_out, eval_cfg: EvalConfig, min_points=None):
     """CLEAR-MOT for the tracklet decoder and the Hungarian baseline."""
     world = detections_to_world(detection_sets, dataset)
     frames = {ds.frame for ds in detection_sets}
     gt = gt_tracks_world(dataset, frames=frames, min_points=min_points)
-    decoded = decode_tracklets(world, n_out, match_thr=match_thr)
+    decoded = decode_tracklets(world, n_out)
     baseline = hungarian_track(world)
     return {
         "decoder": clear_mot(decoded, gt, eval_cfg.assoc_iou, eval_cfg.track_score_thr),

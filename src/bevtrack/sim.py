@@ -154,7 +154,7 @@ def _overlap_free(candidate: Vehicle, others):
 # LiDAR model
 
 
-def _segment_hits_box(px, py, qx, qy, box: RotatedBox, skip_near=1e-9):
+def _segment_hits_box(px, py, qx, qy, box: RotatedBox):
     """True when the open segment p->q passes through the box interior."""
     c, s = math.cos(box.theta), math.sin(box.theta)
 
@@ -165,7 +165,7 @@ def _segment_hits_box(px, py, qx, qy, box: RotatedBox, skip_near=1e-9):
     x0, y0 = to_local(px, py)
     x1, y1 = to_local(qx, qy)
     dx, dy = x1 - x0, y1 - y0
-    t0, t1 = 0.0, 1.0 - skip_near  # exclude the endpoint itself
+    t0, t1 = 0.0, 1.0 - 1e-9  # exclude the endpoint itself
     for p, q in ((-dx, x0 + box.h / 2), (dx, box.h / 2 - x0), (-dy, y0 + box.w / 2), (dy, box.w / 2 - y0)):
         if p == 0.0:
             if q < 0.0:
@@ -329,7 +329,9 @@ def export_dataset(dataset: Dataset, path):
 def import_dataset(path):
     """Read a file written by :func:`export_dataset`.
 
-    A malformed file, or a frame with a NaN or inf point or pose, raises ValueError.
+    A malformed file, a frame with a NaN or inf point or pose, or a label
+    without an int id, an int point count >= 0 and five finite box numbers,
+    or one whose (t, id) repeats another label's, raises ValueError.
     """
     meta = None
     frames = {}
@@ -354,15 +356,17 @@ def import_dataset(path):
                     pose = Pose(*rec["pose"])
                     frames[rec["t"]] = LidarFrame(points=pts, pose=pose, timestamp=rec["t"])
                 elif kind == "label":
-                    b = rec["box"]
-                    labels.setdefault(rec["t"], []).append(
-                        LabelRecord(
-                            frame=rec["t"],
-                            track_id=rec["id"],
-                            box=RotatedBox(*b),
-                            num_points=rec["points"],
-                        )
-                    )
+                    t, tid, box, n = rec["t"], rec["id"], rec["box"], rec["points"]
+                    # checked by hand: from_dict doubles the import time of a dataset
+                    if type(tid) is not int or type(n) is not int or n < 0:
+                        raise ValueError(f"label needs an int id and an int points >= 0, got {tid!r}, {n!r}")
+                    if not (type(box) is list and len(box) == 5
+                            and all(type(v) in (int, float) and math.isfinite(v) for v in box)):
+                        raise ValueError(f"label box must be five finite numbers, got {box!r}")
+                    same_frame = labels.setdefault(t, [])
+                    if any(other.track_id == tid for other in same_frame):
+                        raise ValueError(f"label (t={t}, id={tid}) repeats an earlier one")
+                    same_frame.append(LabelRecord(t, tid, RotatedBox(*box), n))
                 else:
                     raise ValueError(f"unknown record kind {kind!r}")
             except (KeyError, TypeError, json.JSONDecodeError, ValueError) as e:

@@ -197,34 +197,16 @@ def reshape(x, shape):
 # convolution
 
 
-def _im2col(x, kh, kw, pad):
-    c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
-    oh, ow = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
-    cols = np.empty((c, kh, kw, oh, ow))
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = xp[:, i : i + oh, j : j + ow]
-    return cols.reshape(c * kh * kw, oh * ow)
-
-
-def _col2im(cols, x_shape, kh, kw, pad):
-    c, h, w = x_shape
-    oh, ow = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
-    xp = np.zeros((c, h + 2 * pad, w + 2 * pad))
-    cols = cols.reshape(c, kh, kw, oh, ow)
-    for i in range(kh):
-        for j in range(kw):
-            xp[:, i : i + oh, j : j + ow] += cols[:, i, j]
-    return xp[:, pad : pad + h, pad : pad + w]
-
-
 def conv2d(x, weights, bias, pad=0):
     """Cross-correlation of [C_in,H,W] with [C_out,C_in,kH,kW] plus bias.
 
     A [C_in,T,H,W] input takes a [C_out,C_in,T,kH,kW] kernel that spans all
-    T frames, so time collapses: the [C_out,H',W'] output sums one im2col
-    GEMM per frame.
+    T frames, so time collapses; [C_in,H,W] is the T = 1 case. Each kernel
+    tap adds one GEMM of its [C_out,C_in] weight slice with a contiguous
+    window of the flattened frame, zero-padded once, so the output rows come
+    out at the padded width and their last kW-1 cells, which wrap into the
+    next row, are cropped. A spare row keeps the last tap's window inside the
+    frame. The VJPs reuse the windows, with the gradient zero in the crop.
     """
     xd, wd, bd = _as_array(x), _as_array(weights), _as_array(bias)
     if (xd.ndim, wd.ndim) not in ((3, 4), (4, 5)):
@@ -243,27 +225,32 @@ def conv2d(x, weights, bias, pad=0):
     if bd.shape != (c_out,):
         raise TensorError(f"conv2d bias must have shape ({c_out},), got {bd.shape}")
     h, w = xd.shape[-2:]
-    if h + 2 * pad < kh or w + 2 * pad < kw:
-        raise TensorError(f"conv2d kernel {kh}x{kw} exceeds padded input {h + 2 * pad}x{w + 2 * pad}")
-    oh, ow = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
-
-    frames = xd.reshape(c_in, t, h, w)
-    wmat = wd.reshape(c_out, c_in, t, kh * kw).transpose(2, 0, 1, 3).reshape(t, c_out, c_in * kh * kw)
-    cols = [_im2col(frames[:, i], kh, kw, pad) for i in range(t)]
-    acc = wmat[0] @ cols[0]
-    for i in range(1, t):
-        acc += wmat[i] @ cols[i]
-    y = acc.reshape(c_out, oh, ow) + bd[:, None, None]
+    hp, wp = h + 2 * pad, w + 2 * pad
+    if hp < kh or wp < kw:
+        raise TensorError(f"conv2d kernel {kh}x{kw} exceeds padded input {hp}x{wp}")
+    oh, ow = hp - kh + 1, wp - kw + 1
+    n = oh * wp  # cells in one window, and in the output at the padded width
+    xp = np.pad(xd.reshape(c_in, t, h, w), ((0, 0), (0, 0), (pad, pad + 1), (pad, pad))).reshape(c_in, t, -1)
+    w5 = wd.reshape(c_out, c_in, t, kh, kw)
+    taps = [(k, i, j, i * wp + j) for k in range(t) for i in range(kh) for j in range(kw)]
+    yp = np.zeros((c_out, n))
+    for k, i, j, s in taps:
+        yp += w5[:, :, k, i, j] @ xp[:, k, s : s + n]
+    y = yp.reshape(c_out, oh, wp)[:, :, :ow] + bd[:, None, None]
 
     def grad_x(g):
-        gmat = g.reshape(c_out, oh * ow)
-        gx = [_col2im(wm.T @ gmat, (c_in, h, w), kh, kw, pad) for wm in wmat]
-        return np.stack(gx, axis=1).reshape(xd.shape)
+        gp = np.pad(g, ((0, 0), (0, 0), (0, kw - 1))).reshape(c_out, n)
+        gx = np.zeros_like(xp)
+        for k, i, j, s in taps:
+            gx[:, k, s : s + n] += w5[:, :, k, i, j].T @ gp
+        return gx.reshape(c_in, t, hp + 1, wp)[:, :, pad : pad + h, pad : pad + w].reshape(xd.shape)
 
     def grad_w(g):
-        gmat = g.reshape(c_out, oh * ow)
-        gw = [(gmat @ col.T).reshape(c_out, c_in, kh, kw) for col in cols]
-        return np.stack(gw, axis=2).reshape(wd.shape)
+        gp = np.pad(g, ((0, 0), (0, 0), (0, kw - 1))).reshape(c_out, n)
+        gw = np.empty_like(w5)
+        for k, i, j, s in taps:
+            gw[:, :, k, i, j] = gp @ xp[:, k, s : s + n].T
+        return gw.reshape(wd.shape)
 
     return _node(
         y,

@@ -20,6 +20,9 @@ from .net import DetectionSet
 
 LIVE = "live"
 COASTING = "coasting"
+MATCH_THR = 0.5  # IoU that joins a candidate to a group
+SCORE_DECAY = 0.9  # per frame of a forecast's age
+ASSOC_THR = 0.1  # least IoU of a Hungarian match
 
 
 @dataclass
@@ -54,14 +57,12 @@ class TrackletDecoder:
 
     Groups claim ids in score order: each takes the smallest of its buffered
     ids not yet claimed at the frame. A group left without one takes a new id
-    if it holds a current detection and is dropped otherwise.
+    if it holds a current detection and is dropped otherwise. A track coasts
+    on forecasts alone for at most ``n_out - 1`` frames.
     """
 
-    def __init__(self, n_out, match_thr=0.5, score_decay=0.9, max_coast=None):
+    def __init__(self, n_out):
         self.n_out = n_out
-        self.match_thr = match_thr
-        self.score_decay = score_decay
-        self.max_coast = (n_out - 1) if max_coast is None else max_coast
         self._buffer = []  # (frame, [_Buffered])
         self._misses = {}
         self._next_id = 0
@@ -85,7 +86,7 @@ class TrackletDecoder:
                     candidates.append(
                         _Candidate(
                             box=b.boxes[age],
-                            score=b.score * self.score_decay**age,
+                            score=b.score * SCORE_DECAY**age,
                             track_id=b.track_id,
                             age=age,
                         )
@@ -100,7 +101,7 @@ class TrackletDecoder:
             group = [candidates[i]]
             assigned[i] = True
             for j in order:
-                if not assigned[j] and iou(candidates[i].box, candidates[j].box) >= self.match_thr:
+                if not assigned[j] and iou(candidates[i].box, candidates[j].box) >= MATCH_THR:
                     group.append(candidates[j])
                     assigned[j] = True
             groups.append(group)
@@ -124,7 +125,7 @@ class TrackletDecoder:
                 status = LIVE
             else:
                 self._misses[tid] = self._misses.get(tid, 0) + 1
-                if self._misses[tid] > self.max_coast:
+                if self._misses[tid] > self.n_out - 1:
                     continue
                 status = COASTING
             claimed.add(tid)
@@ -152,19 +153,19 @@ def _average_boxes(boxes):
     return RotatedBox(cx, cy, w, h, math.atan2(s, c))
 
 
-def decode_tracklets(detection_sets, n_out, match_thr=0.5, score_decay=0.9, max_coast=None):
+def decode_tracklets(detection_sets, n_out):
     """Run the decoder over an ordered sequence of per-frame DetectionSets."""
-    decoder = TrackletDecoder(n_out, match_thr=match_thr, score_decay=score_decay, max_coast=max_coast)
+    decoder = TrackletDecoder(n_out)
     records = []
     for ds in detection_sets:
         records.extend(decoder.step(ds, ds.frame))
     return records
 
 
-def hungarian_track(detection_sets, assoc_thr=0.1):
+def hungarian_track(detection_sets):
     """Frame-to-frame optimal assignment baseline over current boxes only.
 
-    Cost is 1 - IoU; pairs below ``assoc_thr`` are rejected. Unmatched
+    Cost is 1 - IoU; pairs below ``ASSOC_THR`` are rejected. Unmatched
     detections spawn new ids and unmatched tracks die immediately.
     """
     records = []
@@ -180,7 +181,7 @@ def hungarian_track(detection_sets, assoc_thr=0.1):
                     cost[i, j] = 1.0 - iou(pbox, det.boxes[0])
             rows, cols = linear_sum_assignment(cost)
             for i, j in zip(rows, cols):
-                if 1.0 - cost[i, j] >= assoc_thr:
+                if 1.0 - cost[i, j] >= ASSOC_THR:
                     matches[j] = prev[i][0]
         current = []
         for j, det in enumerate(dets):

@@ -269,6 +269,25 @@ class TestLoadersFailClosed:
         assert run("--config", cfg, "--out", str(tmp_path / "e"), "eval", dataset, str(bad)) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "change",
+        [{"points": "x"}, {"points": -1}, {"id": "a"}, {"id": [1]}, {"id": True},
+         {"box": [0.0, 0.0, float("inf"), 4.0, 0.0]}, None],
+        ids=["points-str", "points-negative", "id-str", "id-list", "id-bool", "box-inf", "repeated"],
+    )
+    def test_bad_label_ends_in_error(self, trained, capsys, change):
+        cfg, dataset, ckpt, tmp_path = trained
+        lines = open(dataset).read().splitlines(keepends=True)
+        recs = [json.loads(line) for line in lines]
+        i = next(i for i, r in enumerate(recs) if r["kind"] == "label" and r["t"] == 3)
+        # None repeats the label line unchanged
+        new = [lines[i]] * 2 if change is None else [json.dumps({**recs[i], **change}) + "\n"]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(lines[:i] + new + lines[i + 1 :]))
+        assert run("--config", cfg, "--out", str(tmp_path / "e"), "eval", str(bad), ckpt) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"bad.jsonl:{i + 1 + (change is None)}:" in err
+
     def test_dataset_with_a_line_dropped_or_cut(self, cfg_path, tmp_path, capsys):
         run("--config", cfg_path, "--out", str(tmp_path / "d"), "generate")
         variants = dropped_and_cut(tmp_path / "d" / "dataset.jsonl", seed=1)

@@ -165,6 +165,42 @@ class TestConv2d:
 
         finite_diff_check(f, [x0, w0, b0])
 
+    @pytest.mark.parametrize("frames", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "h,w,kh,kw,pad",
+        [
+            (5, 7, 1, 3, 0),
+            (6, 4, 3, 1, 2),
+            (5, 8, 3, 5, 1),
+            (7, 5, 5, 3, 2),
+            (7, 4, 5, 3, 0),
+            (6, 3, 3, 5, 1),  # kernel as wide as the padded input: W' = 1
+            (4, 3, 1, 3, 0),  # W' = 1 without padding
+            (3, 6, 5, 3, 1),  # H' = 1
+        ],
+    )
+    def test_tap_layout_on_rectangles(self, frames, h, w, kh, kw, pad):
+        # every tap's window runs across row ends; the cropped cells must not leak
+        rng = np.random.default_rng(100 * frames + 10 * kh + kw + pad)
+        x0 = rng.standard_normal((2, h, w) if frames == 1 else (2, frames, h, w))
+        w0 = rng.standard_normal((3, 2, kh, kw) if frames == 1 else (3, 2, frames, kh, kw))
+        b0 = rng.standard_normal(3)
+        y = T.conv2d(x0, w0, b0, pad=pad)
+        want = naive_conv2d(x0, w0, b0, pad) if frames == 1 else naive_conv3d(x0, w0, b0, pad)[:, 0]
+        assert y.shape == want.shape
+        np.testing.assert_allclose(y.data, want, rtol=0, atol=1e-12)
+
+        def f(arrays):
+            tape = T.Tape()
+            xt, wt, bt = (tape.parameter(name, a) for name, a in zip("xwb", arrays))
+            y = T.conv2d(xt, wt, bt, pad=pad)
+            loss = T.tensor_sum(T.mul(y, y))
+            val = loss.item()
+            T.backward(loss, tape)
+            return val, [tape.param_grads[name] for name in "xwb"]
+
+        finite_diff_check(f, [x0, w0, b0])
+
 
 class TestConv3d:
     def test_temporal_shrink_5_3_1(self):

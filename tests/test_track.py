@@ -179,7 +179,7 @@ class TestHungarian:
 
     def test_low_overlap_spawns_new_id(self):
         sets = [ds(0, [det(0, 0, n_out=1)]), ds(1, [det(10, 0, n_out=1)])]
-        records = hungarian_track(sets, assoc_thr=0.1)
+        records = hungarian_track(sets)
         assert records[0].track_id != records[1].track_id
 
 

@@ -242,19 +242,30 @@ def _id_color(track_id):
 
 
 def _draw_box(img, box, color, grid: GridSpec):
+    """Outline a box with two samples per cell of edge length.
+
+    An edge longer than the image's width plus height in cells, which no edge
+    inside the image can be, gets the samples of one that long.
+    """
     corners = box.corners()
+    limit = img.shape[0] + img.shape[1]
     for e in range(4):
         ax, ay = corners[e]
         bx, by = corners[(e + 1) % 4]
-        steps = max(2, int(math.hypot(bx - ax, by - ay) / grid.cell) * 2)
+        # min picks limit for a NaN or inf length
+        steps = max(2, int(min(limit, math.hypot(bx - ax, by - ay) / grid.cell)) * 2)
         for s in range(steps + 1):
             t = s / steps
             _plot(img, ax + t * (bx - ax), ay + t * (by - ay), color, grid)
 
 
 def _plot(img, x, y, color, grid: GridSpec, size=0):
-    ix = int(math.floor((x - grid.x_range[0]) / grid.cell))
-    iy = int(math.floor((y - grid.y_range[0]) / grid.cell))
+    fx = (x - grid.x_range[0]) / grid.cell
+    fy = (y - grid.y_range[0]) / grid.cell
+    # off the image (or NaN): skipped before a far point's cell index overflows int
+    if not (-size <= fx < img.shape[0] + size and -size <= fy < img.shape[1] + size):
+        return
+    ix, iy = int(math.floor(fx)), int(math.floor(fy))
     for dx in range(-size, size + 1):
         for dy in range(-size, size + 1):
             if 0 <= ix + dx < img.shape[0] and 0 <= iy + dy < img.shape[1]:

@@ -130,7 +130,6 @@ class Detection:
     score: float
     boxes: list  # RotatedBox for the current frame and each future timestamp
     anchor_index: int = -1
-    track_id: int = -1
 
 
 @dataclass

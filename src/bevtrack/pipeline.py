@@ -123,7 +123,7 @@ def tracklets_to_detections(records, dataset: Dataset):
     for f in sorted(by_frame):
         pose = dataset.frames[f].pose
         dets = [
-            Detection(score=r.score, boxes=[box_world_to_ego(r.box, pose)], track_id=r.track_id)
+            Detection(score=r.score, boxes=[box_world_to_ego(r.box, pose)])
             for r in by_frame[f]
         ]
         sets.append(DetectionSet(frame=f, detections=dets))

@@ -329,9 +329,11 @@ def export_dataset(dataset: Dataset, path):
 def import_dataset(path):
     """Read a file written by :func:`export_dataset`.
 
-    A malformed file, a frame with a NaN or inf point or pose, or a label
-    without an int id, an int point count >= 0 and five finite box numbers,
-    or one whose (t, id) repeats another label's, raises ValueError.
+    A malformed file, a frame or label before the meta record or with a ``t``
+    that is not an int in ``range(duration)``, a frame with a NaN or inf
+    point or pose, or a label without an int id, an int point count >= 0 and
+    five finite box numbers, or one whose (t, id) repeats another label's,
+    raises ValueError.
     """
     meta = None
     frames = {}
@@ -349,14 +351,22 @@ def import_dataset(path):
                         raise ValueError(f"unsupported dataset version {rec['version']}")
                     meta = (from_dict(SimConfig, rec["sim"], "sim"), range(rec["duration"]),
                             rec["frame_interval"])
-                elif kind == "frame":
+                    continue
+                if kind not in ("frame", "label"):
+                    raise ValueError(f"unknown record kind {kind!r}")
+                if meta is None:
+                    raise ValueError(f"a {kind} record comes before the meta record")
+                t = rec["t"]
+                if type(t) is not int or t not in meta[1]:
+                    raise ValueError(f"t must be an int frame number below {len(meta[1])}, got {t!r}")
+                if kind == "frame":
                     pts = np.asarray(rec["points"], dtype=np.float64).reshape(-1, 3)
                     if not (np.isfinite(pts).all() and np.isfinite(rec["pose"]).all()):
-                        raise ValueError(f"frame {rec['t']} has a non-finite point or pose")
+                        raise ValueError(f"frame {t} has a non-finite point or pose")
                     pose = Pose(*rec["pose"])
-                    frames[rec["t"]] = LidarFrame(points=pts, pose=pose, timestamp=rec["t"])
-                elif kind == "label":
-                    t, tid, box, n = rec["t"], rec["id"], rec["box"], rec["points"]
+                    frames[t] = LidarFrame(points=pts, pose=pose, timestamp=t)
+                else:
+                    tid, box, n = rec["id"], rec["box"], rec["points"]
                     # checked by hand: from_dict doubles the import time of a dataset
                     if type(tid) is not int or type(n) is not int or n < 0:
                         raise ValueError(f"label needs an int id and an int points >= 0, got {tid!r}, {n!r}")
@@ -367,8 +377,6 @@ def import_dataset(path):
                     if any(other.track_id == tid for other in same_frame):
                         raise ValueError(f"label (t={t}, id={tid}) repeats an earlier one")
                     same_frame.append(LabelRecord(t, tid, RotatedBox(*box), n))
-                else:
-                    raise ValueError(f"unknown record kind {kind!r}")
             except (KeyError, TypeError, json.JSONDecodeError, ValueError) as e:
                 raise ValueError(f"{path}:{lineno}: malformed dataset record: {e}") from None
     if meta is None:

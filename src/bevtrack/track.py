@@ -36,110 +36,65 @@ class TrackletFrame:
     status: str
 
 
-@dataclass
-class _Buffered:
-    track_id: int
-    boxes: list  # current + future boxes, as predicted at the buffered frame
-    score: float
-
-
-@dataclass
-class _Candidate:
-    box: RotatedBox
-    score: float
-    track_id: int  # -1 for fresh current detections
-    age: int  # 0 for current detections, >= 1 for forecasts
-    detection: object = None  # the originating Detection for current candidates
-
-
 class TrackletDecoder:
     """Stateful per-stream decoder; ids are never reused, nor shared within a frame.
 
-    Groups claim ids in score order: each takes the smallest of its buffered
-    ids not yet claimed at the frame. A group left without one takes a new id
-    if it holds a current detection and is dropped otherwise. A track coasts
-    on forecasts alone for at most ``n_out - 1`` frames.
+    Frames must increase from one step to the next. Groups claim ids in score
+    order: each takes the smallest of its buffered ids not yet claimed at the
+    frame. A group left without one takes a new id if it holds a current
+    detection and is dropped otherwise. Only live emissions buffer forecasts,
+    so a track coasts only while one reaches the frame: at most ``n_out - 1``
+    frames.
     """
 
     def __init__(self, n_out):
         self.n_out = n_out
-        self._buffer = []  # (frame, [_Buffered])
-        self._misses = {}
+        self._buffer = []  # (frame, track_id, boxes, score) of live emissions that reach ahead
+        self._frame = None
         self._next_id = 0
-
-    def _new_id(self):
-        tid = self._next_id
-        self._next_id += 1
-        return tid
 
     def step(self, detections: DetectionSet, frame):
         """Consume one frame; returns the tracklet records emitted at it."""
-        candidates = []
-        for det in detections.detections:
-            candidates.append(
-                _Candidate(box=det.boxes[0], score=det.score, track_id=-1, age=0, detection=det)
-            )
-        for past_frame, buffered in self._buffer:
-            age = frame - past_frame
-            for b in buffered:
-                if 1 <= age < len(b.boxes):
-                    candidates.append(
-                        _Candidate(
-                            box=b.boxes[age],
-                            score=b.score * SCORE_DECAY**age,
-                            track_id=b.track_id,
-                            age=age,
-                        )
-                    )
+        if self._frame is not None and frame <= self._frame:
+            raise ValueError(f"frame {frame} does not come after frame {self._frame}")
+        self._frame = frame
+        # (box, score, buffered id or -1, boxes to buffer if a current detection else None)
+        candidates = [(d.boxes[0], d.score, -1, d.boxes[: self.n_out]) for d in detections.detections]
+        for past, tid, boxes, score in self._buffer:
+            age = frame - past
+            if age < len(boxes):  # a gap in the frames can pass a forecast's reach
+                candidates.append((boxes[age], score * SCORE_DECAY**age, tid, None))
 
-        order = sorted(range(len(candidates)), key=lambda i: (-candidates[i].score, i))
+        order = sorted(range(len(candidates)), key=lambda i: (-candidates[i][1], i))
         assigned = [False] * len(candidates)
-        groups = []
+        claimed = set()  # ids emitted at this frame; groups claim them in score order
+        emitted = []
         for i in order:
             if assigned[i]:
                 continue
-            group = [candidates[i]]
-            assigned[i] = True
+            group = []
             for j in order:
-                if not assigned[j] and iou(candidates[i].box, candidates[j].box) >= MATCH_THR:
+                if not assigned[j] and (j == i or iou(candidates[i][0], candidates[j][0]) >= MATCH_THR):
                     group.append(candidates[j])
                     assigned[j] = True
-            groups.append(group)
-
-        emitted = []
-        keep_buffered = []
-        claimed = set()  # ids emitted at this frame; groups claim them in score order
-        for group in groups:
-            free = [c.track_id for c in group if c.track_id >= 0 and c.track_id not in claimed]
-            has_current = any(c.age == 0 for c in group)
+            free = [tid for _box, _score, tid, _boxes in group if tid >= 0 and tid not in claimed]
+            current = [(boxes, score) for _box, score, _tid, boxes in group if boxes is not None]
             if free:
                 tid = min(free)
-            elif has_current:
-                tid = self._new_id()
+            elif current:
+                tid = self._next_id
+                self._next_id += 1
             else:
                 continue  # only repeats tracks already emitted at this frame
-            box = _average_boxes([c.box for c in group])
-            score = max(c.score for c in group)
-            if has_current:
-                self._misses[tid] = 0
-                status = LIVE
-            else:
-                self._misses[tid] = self._misses.get(tid, 0) + 1
-                if self._misses[tid] > self.n_out - 1:
-                    continue
-                status = COASTING
             claimed.add(tid)
-            emitted.append(TrackletFrame(frame=frame, track_id=tid, box=box, score=score, status=status))
-            for c in group:
-                if c.age == 0:
-                    keep_buffered.append(_Buffered(track_id=tid, boxes=c.detection.boxes, score=c.score))
+            emitted.append(TrackletFrame(
+                frame=frame, track_id=tid, box=_average_boxes([c[0] for c in group]),
+                score=max(c[1] for c in group), status=LIVE if current else COASTING,
+            ))
+            self._buffer.extend((frame, tid, boxes, score) for boxes, score in current)
 
-        self._buffer.append((frame, keep_buffered))
-        # keep only frames whose forecasts can still address a future frame
-        self._buffer = [(f, b) for f, b in self._buffer if frame + 1 - f < self.n_out]
-        # an id no longer buffered can never come back, so its miss count goes too
-        buffered = {b.track_id for _f, bs in self._buffer for b in bs}
-        self._misses = {tid: n for tid, n in self._misses.items() if tid in buffered}
+        # keep the live emissions whose forecasts reach the next frame
+        self._buffer = [e for e in self._buffer if frame + 1 - e[0] < len(e[2])]
         return emitted
 
 
@@ -213,6 +168,11 @@ def dump_tracklets(records, path):
 
 
 def load_tracklets(path):
+    """Read a file written by :func:`dump_tracklets`.
+
+    A line without 9 fields, an int frame and id, six finite numbers and a
+    status of live or coasting raises ValueError naming ``path:line``.
+    """
     records = []
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
@@ -220,17 +180,17 @@ def load_tracklets(path):
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            if len(parts) != 9:
-                raise ValueError(f"{path}:{lineno}: expected 9 fields, got {len(parts)}")
-            frame, tid = int(parts[0]), int(parts[1])
-            cx, cy, w, h, theta, score = (float(p) for p in parts[2:8])
-            records.append(
-                TrackletFrame(
-                    frame=frame,
-                    track_id=tid,
-                    box=RotatedBox(cx, cy, w, h, theta),
-                    score=score,
-                    status=parts[8],
-                )
-            )
+            try:
+                if len(parts) != 9:
+                    raise ValueError(f"expected 9 fields, got {len(parts)}")
+                frame, tid = int(parts[0]), int(parts[1])
+                cx, cy, w, h, theta, score = values = [float(p) for p in parts[2:8]]
+                if not all(math.isfinite(v) for v in values):
+                    raise ValueError(f"box and score must be finite, got {values}")
+                if parts[8] not in (LIVE, COASTING):
+                    raise ValueError(f"status must be {LIVE} or {COASTING}, got {parts[8]!r}")
+                box = RotatedBox(cx, cy, w, h, theta)
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from None
+            records.append(TrackletFrame(frame=frame, track_id=tid, box=box, score=score, status=parts[8]))
     return records

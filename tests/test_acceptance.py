@@ -306,7 +306,7 @@ def _oracle_sets(gt_tracks, duration, n_out, visible=None):
             if t not in track or (visible is not None and not visible(tid, t)):
                 continue
             boxes = [track[t + h] for h in range(n_out) if (t + h) in track]
-            dets.append(Detection(score=1.0, boxes=boxes, track_id=tid))
+            dets.append(Detection(score=1.0, boxes=boxes))
         sets.append(DetectionSet(frame=t, detections=dets))
     return sets
 

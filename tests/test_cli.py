@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from bevtrack import cli
 from bevtrack import tensor as T
 from bevtrack.cli import ConfigError, load_run_config, main
 from bevtrack.geom import RotatedBox
@@ -269,24 +270,51 @@ class TestLoadersFailClosed:
         assert run("--config", cfg, "--out", str(tmp_path / "e"), "eval", dataset, str(bad)) == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    @pytest.mark.parametrize(
-        "change",
-        [{"points": "x"}, {"points": -1}, {"id": "a"}, {"id": [1]}, {"id": True},
-         {"box": [0.0, 0.0, float("inf"), 4.0, 0.0]}, None],
-        ids=["points-str", "points-negative", "id-str", "id-list", "id-bool", "box-inf", "repeated"],
-    )
-    def test_bad_label_ends_in_error(self, trained, capsys, change):
+    # (record kind, change, keep): keep inserts the changed copy after the unchanged record
+    BAD_RECORDS = {
+        "points-str": ("label", {"points": "x"}, False),
+        "points-negative": ("label", {"points": -1}, False),
+        "id-str": ("label", {"id": "a"}, False),
+        "id-list": ("label", {"id": [1]}, False),
+        "id-bool": ("label", {"id": True}, False),
+        "box-inf": ("label", {"box": [0.0, 0.0, float("inf"), 4.0, 0.0]}, False),
+        "repeated": ("label", {}, True),
+        "t-str": ("label", {"t": "x"}, False),
+        "t-float": ("label", {"t": 1.5}, False),
+        "t-99": ("label", {"t": 99}, False),
+        "t-negative": ("label", {"t": -1}, False),
+        "t-duration": ("label", {"t": TINY["sim"]["duration"]}, False),
+        "frame-t-99": ("frame", {"t": 99}, True),
+    }
+
+    @pytest.mark.parametrize("case", BAD_RECORDS)
+    def test_bad_label_ends_in_error(self, trained, capsys, case):
+        kind, change, keep = self.BAD_RECORDS[case]
         cfg, dataset, ckpt, tmp_path = trained
         lines = open(dataset).read().splitlines(keepends=True)
         recs = [json.loads(line) for line in lines]
-        i = next(i for i, r in enumerate(recs) if r["kind"] == "label" and r["t"] == 3)
-        # None repeats the label line unchanged
-        new = [lines[i]] * 2 if change is None else [json.dumps({**recs[i], **change}) + "\n"]
+        i = next(i for i, r in enumerate(recs) if r["kind"] == kind and r["t"] == 3)
+        new = [lines[i]] * keep + [json.dumps({**recs[i], **change}) + "\n"]
         bad = tmp_path / "bad.jsonl"
         bad.write_text("".join(lines[:i] + new + lines[i + 1 :]))
         assert run("--config", cfg, "--out", str(tmp_path / "e"), "eval", str(bad), ckpt) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and f"bad.jsonl:{i + 1 + (change is None)}:" in err
+        assert err.startswith("error:") and f"bad.jsonl:{i + 1 + keep}:" in err
+
+    @pytest.mark.parametrize(
+        "line",
+        ["0 7 inf 0.5 2 4 0.3 0.9 live", "0 7 1 0.5 2 nan 0.3 0.9 live", "0 7 1 0.5 2 4 0.3 -inf live",
+         "0 7 1 0.5 2 4 0.3 0.9 bogus"],
+        ids=["cx-inf", "h-nan", "score-inf", "status-bogus"],
+    )
+    def test_bad_tracklet_ends_in_error(self, cfg_path, tmp_path, capsys, line):
+        run("--config", cfg_path, "--out", str(tmp_path / "d"), "generate")
+        tracklets = tmp_path / "tracklets.txt"
+        tracklets.write_text(f"# frame track_id cx cy w h theta score status\n{line}\n")
+        args = ("render", str(tmp_path / "d" / "dataset.jsonl"), "--tracklets", str(tracklets))
+        assert run("--config", cfg_path, "--out", str(tmp_path / "r"), *args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "tracklets.txt:2:" in err
 
     def test_dataset_with_a_line_dropped_or_cut(self, cfg_path, tmp_path, capsys):
         run("--config", cfg_path, "--out", str(tmp_path / "d"), "generate")
@@ -355,6 +383,22 @@ class TestRenderAndBench:
             frames[name] = [p.read_bytes() for p in sorted(out.glob("frame_*.ppm"))]
         assert frames["tracked"][0] != frames["plain"][0]
         assert frames["tracked"][1:] == frames["plain"][1:]
+
+    @pytest.mark.parametrize(
+        "box", ["1e308 0.5 2 4", "1 1e308 2 4", "1 0.5 1e308 4", "1 0.5 1e6 4"],
+        ids=["cx-1e308", "cy-1e308", "w-1e308", "w-1e6"],
+    )
+    def test_render_bounds_the_work_of_a_far_or_huge_box(self, cfg_path, tmp_path, monkeypatch, box):
+        run("--config", cfg_path, "--out", str(tmp_path / "d"), "generate")
+        tracklets = tmp_path / "tracklets.txt"
+        tracklets.write_text(f"0 7 {box} 0.3 0.9 live\n")
+        calls = []
+        plot = cli._plot
+        monkeypatch.setattr(cli, "_plot", lambda *a, **kw: calls.append(a) or plot(*a, **kw))
+        args = ("render", str(tmp_path / "d" / "dataset.jsonl"), "--tracklets", str(tracklets))
+        assert run("--config", cfg_path, "--out", str(tmp_path / "r"), *args) == 0
+        # at most 2 (48 + 32) + 1 samples on each of 4 edges on the 48x32-cell image, and one center dot
+        assert len(calls) <= 4 * (2 * (48 + 32) + 1) + 1
 
     def test_ablation_smoke(self, cfg_path, tmp_path):
         data = tmp_path / "d"

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from bevtrack.geom import RotatedBox, iou
@@ -96,6 +97,57 @@ class TestCoasting:
         assert out[0].track_id == 1
 
 
+class TestFrameOrder:
+    @pytest.mark.parametrize("second", [4, 3], ids=["repeated", "earlier"])
+    def test_frame_that_does_not_advance_rejected(self, second):
+        d = TrackletDecoder(n_out=3)
+        d.step(ds(4, [det(0, 0)]), 4)
+        with pytest.raises(ValueError, match=f"frame {second} does not come after frame 4"):
+            d.step(ds(second, [det(0, 0)]), second)
+
+    @pytest.mark.parametrize("after_gap,statuses", [(2, [COASTING]), (3, [])])
+    def test_gap_keeps_only_forecasts_that_reach_the_frame(self, after_gap, statuses):
+        d = TrackletDecoder(n_out=3)
+        d.step(ds(0, [det(0, 0)]), 0)
+        assert [r.status for r in d.step(ds(after_gap, []), after_gap)] == statuses
+
+
+def random_stream(rng, n_out, gaps):
+    """Frames of noisy, sometimes occluded or duplicated detections of a few moving objects."""
+    n = int(rng.integers(1, 6))
+    xs, ys, vxs = rng.uniform(-10, 10, n), rng.uniform(-10, 10, n), rng.normal(0, 1, n)
+    frame = 0
+    for _ in range(40):
+        dets = []
+        for x, y, vx in zip(xs, ys, vxs):
+            for _copy in range(int(rng.integers(0, 3))):
+                jx, jy = rng.normal(0, 0.5, 2)
+                dets.append(det(x + jx, y + jy, score=rng.uniform(0.05, 1), n_out=n_out, vx=vx + rng.normal(0, 0.3)))
+        yield ds(frame, dets)
+        xs = xs + vxs
+        frame += int(rng.integers(1, 4)) if gaps else 1
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_random_stream_keeps_ids_unique_and_coasts_at_most_n_out_minus_one(seed):
+    rng = np.random.default_rng(seed)
+    n_out = 1 + seed % 5
+    d = TrackletDecoder(n_out)
+    last_live = {}
+    for s in random_stream(rng, n_out, gaps=seed % 3 == 0):
+        out = d.step(s, s.frame)
+        ids = [r.track_id for r in out]
+        assert len(ids) == len(set(ids)), f"frame {s.frame}: an id emitted twice"
+        for r in out:
+            if r.track_id in last_live:
+                # coasting or live again: some forecast of its last live frame must reach here
+                assert s.frame - last_live[r.track_id] <= n_out - 1, (s.frame, r)
+            else:
+                assert r.status == LIVE, f"frame {s.frame}: id {r.track_id} first seen coasting"
+            if r.status == LIVE:
+                last_live[r.track_id] = s.frame
+
+
 class TestIds:
     def test_merged_group_takes_min_id(self):
         d = TrackletDecoder(n_out=3)
@@ -131,15 +183,16 @@ class TestIds:
         out = d.step(ds(2, [det(2.0, 0, score=0.5)]), 2)
         assert sorted((r.track_id, r.status) for r in out) == [(0, COASTING), (1, LIVE)]
 
-    def test_miss_counts_stay_bounded_over_a_long_stream(self):
+    def test_buffer_stays_bounded_over_a_long_stream(self):
         d = TrackletDecoder(n_out=3)
         sizes = []
         for f in range(10_000):
             # one persistent track plus one that jumps away, and so ends, every frame
             d.step(ds(f, [det(0, 30), det(40.0 * (f % 7), 0)]), f)
-            sizes.append(len(d._misses))
+            sizes.append(len(d._buffer))
         assert d._next_id > 5_000
-        assert max(sizes) == max(sizes[:10]) <= 3
+        # 2 live emissions a frame, each buffered while it reaches the next frame
+        assert max(sizes) <= 4
 
     def test_decode_tracklets_matches_manual_stepping(self):
         sets = [ds(0, [det(0, 0, vx=1.0)]), ds(1, [det(1, 0, vx=1.0)]), ds(2, [])]

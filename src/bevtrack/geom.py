@@ -1,13 +1,20 @@
-"""Rotated rectangles in the BEV plane: corners, clipping, IoU and NMS."""
+"""Rotated rectangles in the BEV plane: corners, clipping, IoU and NMS.
+
+Box sets are ``[..., 5]`` arrays of (cx, cy, w, h, theta); ``iou`` broadcasts
+over them and clips only the pairs whose bounding circles meet.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 # Intersections thinner than this are treated as empty so that edge-touching
 # boxes never register as overlapping.
 MIN_INTERSECTION_AREA = 1e-12
+_HYPOT_TOL = 1e-12  # relative; see iou
 
 
 def wrap_angle(theta):
@@ -97,45 +104,108 @@ def clip_polygon(subject, clip):
     return output
 
 
-def _fast_reject(a: RotatedBox, b: RotatedBox):
-    ra = 0.5 * math.hypot(a.w, a.h)
-    rb = 0.5 * math.hypot(b.w, b.h)
-    return math.hypot(a.cx - b.cx, a.cy - b.cy) > ra + rb
+class BoxSet:
+    """Boxes as a ``[..., 5]`` array of (cx, cy, w, h, theta), with each box's
+    bounding radius, area and corners computed once.
 
-
-def intersection_area(a: RotatedBox, b: RotatedBox):
-    if _fast_reject(a, b):
-        return 0.0
-    # canonical operand order makes the computation bitwise symmetric
-    if (b.cx, b.cy, b.w, b.h, b.theta) < (a.cx, a.cy, a.w, a.h, a.theta):
-        a, b = b, a
-    inter = clip_polygon(a.corners(), b.corners())
-    area = polygon_area(inter)
-    return area if area > MIN_INTERSECTION_AREA else 0.0
-
-
-def iou(a: RotatedBox, b: RotatedBox):
-    """Intersection over union of two rotated boxes, in [0, 1]."""
-    inter = intersection_area(a, b)
-    if inter == 0.0:
-        return 0.0
-    return inter / (a.area + b.area - inter)
-
-
-def nms(dets, iou_thr=0.1):
-    """Greedy non-maximum suppression over (RotatedBox, score) pairs.
-
-    Returns indices into ``dets`` of the kept entries, in descending score
-    order. Score ties break toward lower (cx, cy, theta).
+    Built from a RotatedBox, a list of them or an array-like; thetas are
+    wrapped as RotatedBox wraps them. Indexing selects boxes over the leading
+    axes, like the array, and shares what was computed. ``data`` holds each
+    box's five numbers, radius, area and its index into the ``rows`` and
+    ``corners`` lists, which the scalar clipping of :func:`iou` reads.
     """
-    order = sorted(
-        range(len(dets)),
-        key=lambda i: (-dets[i][1], dets[i][0].cx, dets[i][0].cy, dets[i][0].theta),
-    )
-    kept = []
-    for i in order:
-        box = dets[i][0]
-        if all(iou(box, dets[j][0]) < iou_thr for j in kept):
-            kept.append(i)
-    return kept
 
+    def __init__(self, boxes):
+        if isinstance(boxes, RotatedBox):
+            boxes = [boxes.cx, boxes.cy, boxes.w, boxes.h, boxes.theta]
+        elif isinstance(boxes, (list, tuple)) and (not boxes or isinstance(boxes[0], RotatedBox)):
+            boxes = np.reshape([(b.cx, b.cy, b.w, b.h, b.theta) for b in boxes], (-1, 5))
+        arr = np.array(boxes, dtype=np.float64)
+        if arr.shape[-1:] != (5,):
+            raise ValueError(f"boxes must be a [..., 5] array, got shape {arr.shape}")
+        if not (arr[..., 2:4] > 0.0).all():
+            raise ValueError("box sides must be positive")
+        flat = arr.reshape(-1, 5)
+        t = np.fmod(flat[:, 4], 2.0 * math.pi)  # wrap_angle, elementwise
+        flat[:, 4] = np.where(t <= -math.pi, t + 2.0 * math.pi, np.where(t > math.pi, t - 2.0 * math.pi, t))
+        self.rows = flat.tolist()
+        # math, not numpy, so radii and corners are bitwise those of RotatedBox
+        trig = np.array([(0.5 * math.hypot(w, h), math.cos(th), math.sin(th)) for _, _, w, h, th in self.rows])
+        radius, c, s = trig.reshape(-1, 3).T
+        cx, cy, w, h, _theta = flat.T
+        ux, uy = c * h / 2.0, s * h / 2.0  # longitudinal half axis
+        vx, vy = -s * w / 2.0, c * w / 2.0  # lateral half axis
+        self.corners = np.stack([
+            cx + ux + vx, cy + uy + vy, cx - ux + vx, cy - uy + vy,
+            cx - ux - vx, cy - uy - vy, cx + ux - vx, cy + uy - vy,
+        ], axis=-1).reshape(-1, 4, 2).tolist()
+        index = np.arange(len(flat))
+        self.data = np.column_stack([flat, radius, w * h, index]).reshape(arr.shape[:-1] + (8,))
+
+    def __getitem__(self, key):
+        sub = object.__new__(BoxSet)
+        sub.rows, sub.corners, sub.data = self.rows, self.corners, self.data[key]
+        return sub
+
+
+def iou(a, b):
+    """Intersection over union of rotated boxes, in [0, 1], broadcast like a ufunc.
+
+    ``a`` and ``b`` are each a RotatedBox, a ``[..., 5]`` array or a BoxSet;
+    two single boxes give a float. The bounding-circle prefilter runs over
+    the whole broadcast in numpy; each pair that passes it is clipped as one
+    scalar Sutherland-Hodgman polygon, so every value is bitwise that of the
+    pairwise computation (``tests/oracles.py``).
+    """
+    a, b = (x if isinstance(x, BoxSet) else BoxSet(x) for x in (a, b))
+    da, db = a.data, b.data
+    dx = da[..., 0] - db[..., 0]
+    dy = da[..., 1] - db[..., 1]
+    shape = dx.shape
+    dx, dy, reach = dx.ravel(), dy.ravel(), (da[..., 5] + db[..., 5]).ravel()
+    dist = np.hypot(dx, dy)
+    # np.hypot can differ from math.hypot by an ulp, so math.hypot decides near the edge
+    near = np.flatnonzero(np.abs(dist - reach) <= _HYPOT_TOL * reach)
+    if len(near):
+        dist[near] = [math.hypot(x, y) for x, y in zip(dx[near].tolist(), dy[near].tolist())]
+    hit = np.flatnonzero(~(dist > reach))
+    out = np.zeros(dist.shape)
+    if len(hit):
+        n = len(b.rows)
+        ia, ib = np.divmod((da[..., 7] * n + db[..., 7]).ravel()[hit].astype(np.int64), n)
+        out[hit] = [
+            _pair_iou(a.rows[i], a.corners[i], b.rows[j], b.corners[j]) for i, j in zip(ia.tolist(), ib.tolist())
+        ]
+    return out.reshape(shape) if shape else float(out[0])
+
+
+def _pair_iou(a, a_corners, b, b_corners):
+    """IoU of one pair of boxes given as (cx, cy, w, h, theta) lists and their corners."""
+    # canonical operand order makes the computation bitwise symmetric
+    if b < a:
+        clipped = clip_polygon(b_corners, a_corners)
+    else:
+        clipped = clip_polygon(a_corners, b_corners)
+    inter = polygon_area(clipped)
+    if not inter > MIN_INTERSECTION_AREA:
+        return 0.0
+    return inter / (a[2] * a[3] + b[2] * b[3] - inter)
+
+
+def nms(boxes, scores, iou_thr=0.1):
+    """Greedy non-maximum suppression over boxes and their scores.
+
+    Returns indices of the kept boxes in descending score order; score ties
+    break toward lower (cx, cy, theta). Each kept box suppresses the later
+    live boxes it overlaps at ``iou_thr`` or more, one ``iou`` row at a time,
+    so only pairs of a kept box and a box still alive are ever clipped.
+    """
+    boxes = boxes if isinstance(boxes, BoxSet) else BoxSet(boxes)
+    d = boxes.data
+    order = np.lexsort((d[:, 4], d[:, 1], d[:, 0], -np.asarray(scores, dtype=np.float64)))
+    kept = []
+    while len(order):
+        i, order = order[0], order[1:]
+        kept.append(int(i))
+        order = order[iou(boxes[i], boxes[order]) < iou_thr]
+    return kept

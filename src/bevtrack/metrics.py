@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geom import iou
+from .geom import BoxSet, iou
 
 
 @dataclass
@@ -29,6 +29,16 @@ class EvalConfig:
             raise ValueError("iou thresholds must lie in (0, 1]")
         if list(self.distance_bins) != sorted(self.distance_bins):
             raise ValueError("distance bins must be ordered")
+        for name in ("assoc_iou", "forecast_match_iou"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in (0, 1], got {getattr(self, name)}")
+        for name in ("score_thr", "nms_thr", "track_score_thr"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        if any(type(h) is not int or h < 1 for h in self.forecast_horizons):
+            raise ValueError(f"forecast horizons must be ints >= 1, got {tuple(self.forecast_horizons)}")
+        if self.min_points < 0:
+            raise ValueError(f"min_points must be >= 0, got {self.min_points}")
 
 
 @dataclass
@@ -57,18 +67,40 @@ class PRCurve:
     ap: float
 
 
-def average_precision(dets, gts, iou_thr, min_points=3):
+def frame_ious(dets, gts):
+    """IoU of each detection with each ground truth of its frame, one matrix
+    per frame, as ``{id(det): {id(gt): iou}}``: calls on the same boxes, or
+    on subsets of them, can share it."""
+    dets_by_frame = {}
+    for d in dets:
+        dets_by_frame.setdefault(d.frame, []).append(d)
+    gts_by_frame = {}
+    for g in gts:
+        gts_by_frame.setdefault(g.frame, []).append(g)
+    out = {}
+    for f, frame_dets in dets_by_frame.items():
+        frame_gts = gts_by_frame.get(f, [])
+        keys = [id(g) for g in frame_gts]
+        rows = iou(BoxSet([d.box for d in frame_dets])[:, None], [g.box for g in frame_gts]).tolist()
+        out.update((id(d), dict(zip(keys, row))) for d, row in zip(frame_dets, rows))
+    return out
+
+
+def average_precision(dets, gts, iou_thr, min_points=3, ious=None):
     """All-point interpolated AP with the minimum-points don't-care rule.
 
     Detections are ranked globally by score and matched greedily to the
     not-yet-matched ground truth of their frame. A detection whose best
     match is a don't-care box counts neither as hit nor false positive.
-    Returns None when no cared-for ground truth exists.
+    ``ious`` is :func:`frame_ious` of these boxes or of a superset, computed
+    when None. Returns None when no cared-for ground truth exists.
     """
     care = [g for g in gts if g.num_points >= min_points]
     dontcare = [g for g in gts if g.num_points < min_points]
     if not care:
         return None
+    if ious is None:
+        ious = frame_ious(dets, gts)
 
     care_by_frame = {}
     for g in care:
@@ -84,15 +116,16 @@ def average_precision(dets, gts, iou_thr, min_points=3):
     matched = set()
     tp_flags = []
     for det in order:
+        row = ious[id(det)]
         best_iou, best_gt, best_dc = 0.0, None, False
         for g in care_by_frame.get(det.frame, ()):
             if id(g) in matched:
                 continue
-            v = iou(det.box, g.box)
+            v = row[id(g)]
             if v > best_iou:
                 best_iou, best_gt, best_dc = v, g, False
         for g in dc_by_frame.get(det.frame, ()):
-            v = iou(det.box, g.box)
+            v = row[id(g)]
             if v > best_iou:
                 best_iou, best_gt, best_dc = v, g, True
         if best_iou >= iou_thr:
@@ -124,8 +157,11 @@ def average_precision(dets, gts, iou_thr, min_points=3):
     return PRCurve(recall=recall, precision=precision, ap=ap)
 
 
-def map_by_distance(dets, gts, iou_thr, bins, min_points=3):
-    """AP per ego-distance bin; empty bins are reported as absent (None)."""
+def map_by_distance(dets, gts, iou_thr, bins, min_points=3, ious=None):
+    """AP per ego-distance bin; empty bins are reported as absent (None).
+
+    ``ious`` is :func:`frame_ious` of these boxes, computed when None.
+    """
     edges = [0.0] + list(bins)
 
     def bin_of(box):
@@ -135,6 +171,8 @@ def map_by_distance(dets, gts, iou_thr, bins, min_points=3):
                 return b
         return len(edges) - 2 if d == edges[-1] else None
 
+    if ious is None:
+        ious = frame_ious(dets, gts)
     gt_bins = {}
     for g in gts:
         b = bin_of(g.box)
@@ -145,11 +183,12 @@ def map_by_distance(dets, gts, iou_thr, bins, min_points=3):
     # matched one whenever a match exists)
     det_bins = {}
     for det in dets:
+        row = ious[id(det)]
         best, best_v = None, -1.0
         for g in gts:
             if g.frame != det.frame:
                 continue
-            v = iou(det.box, g.box)
+            v = row[id(g)]
             if v > best_v:
                 best, best_v = g, v
         if best is None or best_v == 0.0:
@@ -168,7 +207,7 @@ def map_by_distance(dets, gts, iou_thr, bins, min_points=3):
         if b not in gt_bins:
             out[label] = None
             continue
-        pr = average_precision(det_bins.get(b, []), gt_bins[b], iou_thr, min_points)
+        pr = average_precision(det_bins.get(b, []), gt_bins[b], iou_thr, min_points, ious)
         out[label] = pr.ap if pr is not None else None
     return out
 
@@ -212,34 +251,32 @@ def clear_mot(tracklets, gt_tracks, assoc_iou=0.5, score_thr=0.9):
         gts = [(gid, track[f]) for gid, track in gt_tracks.items() if f in track]
         hyps = list(hyp_by_frame.get(f, []))
         num_gt += len(gts)
+        ious = iou(BoxSet([gbox for _gid, gbox in gts])[:, None], [h.box for h in hyps])
 
         pairs = {}
         used_hyp = set()
         # keep last frame's associations first when still valid
-        for gid, gbox in gts:
+        for i, (gid, _gbox) in enumerate(gts):
             want = prev_pairs.get(gid)
             if want is None:
                 continue
-            for h in hyps:
+            for j, h in enumerate(hyps):
                 if h.track_id == want and h.track_id not in used_hyp:
-                    v = iou(gbox, h.box)
+                    v = float(ious[i, j])
                     if v >= assoc_iou:
                         pairs[gid] = (h.track_id, v)
                         used_hyp.add(h.track_id)
                     break
-        rest_gt = [(gid, gbox) for gid, gbox in gts if gid not in pairs]
-        rest_hyp = [h for h in hyps if h.track_id not in used_hyp]
+        rest_gt = [i for i, (gid, _gbox) in enumerate(gts) if gid not in pairs]
+        rest_hyp = [j for j, h in enumerate(hyps) if h.track_id not in used_hyp]
         if rest_gt and rest_hyp:
-            cost = np.ones((len(rest_gt), len(rest_hyp)))
-            for i, (_gid, gbox) in enumerate(rest_gt):
-                for j, h in enumerate(rest_hyp):
-                    cost[i, j] = 1.0 - iou(gbox, h.box)
+            cost = 1.0 - ious[np.ix_(rest_gt, rest_hyp)]
             rows, cols = linear_sum_assignment(cost)
             for i, j in zip(rows, cols):
                 v = 1.0 - cost[i, j]
                 if v >= assoc_iou:
-                    pairs[rest_gt[i][0]] = (rest_hyp[j].track_id, v)
-                    used_hyp.add(rest_hyp[j].track_id)
+                    pairs[gts[rest_gt[i]][0]] = (hyps[rest_hyp[j]].track_id, v)
+                    used_hyp.add(hyps[rest_hyp[j]].track_id)
 
         fn += len(gts) - len(pairs)
         fp += len(hyps) - len(pairs)
@@ -286,13 +323,14 @@ def forecast_error(detection_sets, gt_tracks, horizons, match_iou=0.5):
         f = ds.frame
         gts = [(gid, track[f]) for gid, track in gt_tracks.items() if f in track]
         gt_total += len(gts)
+        dets = sorted(ds.detections, key=lambda d: -d.score)
+        ious = iou(BoxSet([d.boxes[0] for d in dets])[:, None], [gbox for _gid, gbox in gts])
         taken = set()
-        for det in sorted(ds.detections, key=lambda d: -d.score):
+        for det, row in zip(dets, ious.tolist()):
             best_gid, best_v = None, 0.0
-            for gid, gbox in gts:
+            for (gid, _gbox), v in zip(gts, row):
                 if gid in taken:
                     continue
-                v = iou(det.boxes[0], gbox)
                 if v > best_v:
                     best_gid, best_v = gid, v
             if best_gid is None or best_v < match_iou:

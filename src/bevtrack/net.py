@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import tensor as T
-from .geom import RotatedBox, nms, wrap_angle
+from .geom import BoxSet, RotatedBox, nms
 from .voxel import GridSpec, InputTensor
 
 STRIDE = 8
@@ -98,6 +99,12 @@ class AnchorGrid:
 
     boxes: list  # flat list of RotatedBox, index = (k * I + i) * J + j
     shape: tuple  # (K, I, J)
+    array: np.ndarray  # the same boxes as an [N, 5] array
+
+    @cached_property
+    def box_set(self):
+        """``array`` as a BoxSet, built on first use and shared by every sample."""
+        return BoxSet(self.array)
 
     def __len__(self):
         return len(self.boxes)
@@ -107,7 +114,7 @@ def build_anchors(config: ModelConfig):
     I, J = config.feat_shape
     cell = config.grid.cell * STRIDE
     x0, y0 = config.grid.x_range[0], config.grid.y_range[0]
-    boxes = []
+    rows = []
     for size, ratio in config.anchor_specs:
         w = size / math.sqrt(ratio)
         h = size * math.sqrt(ratio)
@@ -115,8 +122,11 @@ def build_anchors(config: ModelConfig):
             cx = x0 + (i + 0.5) * cell
             for j in range(J):
                 cy = y0 + (j + 0.5) * cell
-                boxes.append(RotatedBox(cx, cy, w, h, 0.0))
-    return AnchorGrid(boxes=boxes, shape=(config.num_anchors, I, J))
+                rows.append((cx, cy, w, h, 0.0))
+    return AnchorGrid(
+        boxes=[RotatedBox(*r) for r in rows], shape=(config.num_anchors, I, J),
+        array=np.reshape(rows, (-1, 5)),
+    )
 
 
 @dataclass
@@ -156,18 +166,30 @@ def encode_box(anchor: RotatedBox, gt: RotatedBox):
     )
 
 
-def decode_box(anchor: RotatedBox, code):
-    """Inverse of :func:`encode_box`; sizes decode first, then offsets.
+def decode_boxes(anchors, codes):
+    """Inverse of :func:`encode_box` over ``[..., 5]`` anchor rows and ``[..., 6]`` codes.
 
-    Size codes are clamped to +-MAX_SIZE_CODE so no side overflows or vanishes.
+    Returns a ``[..., 5]`` box array; sizes decode first, then offsets. Size
+    codes are clamped to +-MAX_SIZE_CODE so no side overflows or vanishes.
+    exp and atan2 run through ``math`` value by value: numpy's differ from
+    them in the last bit, and decoded boxes must not depend on the batch.
     """
-    lx, ly, sw, sh, asin, acos = np.asarray(code, dtype=np.float64).tolist()
-    w = anchor.w * math.exp(-min(max(sw, -MAX_SIZE_CODE), MAX_SIZE_CODE))
-    h = anchor.h * math.exp(-min(max(sh, -MAX_SIZE_CODE), MAX_SIZE_CODE))
-    cx = anchor.cx - lx * w
-    cy = anchor.cy - ly * h
-    theta = math.atan2(asin, acos)
-    return RotatedBox(cx, cy, w, h, wrap_angle(theta))
+    anchors = np.asarray(anchors, dtype=np.float64)
+    codes = np.asarray(codes, dtype=np.float64)
+    sizes = np.clip(codes[..., 2:4], -MAX_SIZE_CODE, MAX_SIZE_CODE)
+    scale = np.reshape([math.exp(-v) for v in sizes.ravel().tolist()], sizes.shape)
+    w = anchors[..., 2] * scale[..., 0]
+    h = anchors[..., 3] * scale[..., 1]
+    theta = np.reshape(
+        [math.atan2(s, c) for s, c in zip(codes[..., 4].ravel().tolist(), codes[..., 5].ravel().tolist())],
+        w.shape,
+    )
+    return np.stack([anchors[..., 0] - codes[..., 0] * w, anchors[..., 1] - codes[..., 1] * h, w, h, theta], axis=-1)
+
+
+def decode_box(anchor: RotatedBox, code):
+    """:func:`decode_boxes` for one anchor and code."""
+    return RotatedBox(*decode_boxes([anchor.cx, anchor.cy, anchor.w, anchor.h, anchor.theta], code).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -283,19 +305,22 @@ class Model:
 def decode(output: HeadOutput, anchors: AnchorGrid, frame=0, score_thr=0.5, nms_thr=0.1):
     """Threshold, decode and suppress; survivors keep their full forecasts.
 
-    Anchors whose code holds a non-finite value are skipped.
+    Anchors whose code holds a non-finite value are skipped. NMS runs on the
+    current-frame boxes alone, so only its survivors' forecasts are decoded.
     """
     if not (0.0 <= score_thr <= 1.0 and 0.0 <= nms_thr <= 1.0):
         raise ValueError("thresholds must lie in [0, 1]")
     K, I, J = anchors.shape
-    n_out = output.reg.shape[1]
     flat_scores = output.cls.reshape(-1)
     finite = np.isfinite(output.reg).all(axis=(1, 2)).reshape(-1)
-    candidates = []
-    for idx in np.flatnonzero((flat_scores >= score_thr) & finite):
-        k, i, j = np.unravel_index(idx, (K, I, J))
-        anchor = anchors.boxes[idx]
-        boxes = [decode_box(anchor, output.reg[k, t, :, i, j]) for t in range(n_out)]
-        candidates.append(Detection(score=float(flat_scores[idx]), boxes=boxes, anchor_index=int(idx)))
-    kept = nms([(d.boxes[0], d.score) for d in candidates], iou_thr=nms_thr)
-    return DetectionSet(frame=frame, detections=[candidates[i] for i in kept])
+    idx = np.flatnonzero((flat_scores >= score_thr) & finite)
+    if not len(idx):
+        return DetectionSet(frame=frame)
+    k, i, j = np.unravel_index(idx, (K, I, J))
+    codes = output.reg[k, :, :, i, j]  # [candidates, n_out, 6]
+    kept = nms(decode_boxes(anchors.array[idx], codes[:, 0]), flat_scores[idx], nms_thr)
+    boxes = decode_boxes(anchors.array[idx[kept], None], codes[kept]).tolist()
+    return DetectionSet(frame=frame, detections=[
+        Detection(score=float(flat_scores[idx[n]]), boxes=[RotatedBox(*b) for b in rows], anchor_index=int(idx[n]))
+        for n, rows in zip(kept, boxes)
+    ])

@@ -11,6 +11,7 @@ from .metrics import (
     average_precision,
     clear_mot,
     forecast_error,
+    frame_ious,
     map_by_distance,
 )
 from .net import AnchorGrid, Detection, DetectionSet, Model, ModelConfig, build_anchors, decode
@@ -70,15 +71,16 @@ def _eval_boxes(detection_sets, dataset: Dataset):
 def evaluate_detection(detection_sets, dataset: Dataset, eval_cfg: EvalConfig):
     """mAP table over IoU thresholds, plus min-points and distance sweeps."""
     dets, gts = _eval_boxes(detection_sets, dataset)
+    ious = frame_ious(dets, gts)
     by_iou = {}
     for thr in eval_cfg.iou_thresholds:
-        pr = average_precision(dets, gts, thr, eval_cfg.min_points)
+        pr = average_precision(dets, gts, thr, eval_cfg.min_points, ious)
         by_iou[thr] = pr.ap if pr is not None else None
     by_min_points = {}
     for mp in range(0, eval_cfg.min_points + 1):
-        pr = average_precision(dets, gts, 0.7, mp)
+        pr = average_precision(dets, gts, 0.7, mp, ious)
         by_min_points[mp] = pr.ap if pr is not None else None
-    by_distance = map_by_distance(dets, gts, 0.7, eval_cfg.distance_bins, eval_cfg.min_points)
+    by_distance = map_by_distance(dets, gts, 0.7, eval_cfg.distance_bins, eval_cfg.min_points, ious)
     return {
         "ap_by_iou": by_iou,
         "ap_by_min_points": by_min_points,

@@ -141,13 +141,12 @@ def _clears_ego(candidate: Vehicle, ego_poses, clearance):
 
 
 def _overlap_free(candidate: Vehicle, others):
-    for other in others:
-        for f in candidate.poses:
-            b0 = candidate.box_at(f)
-            b1 = other.box_at(f)
-            if b0 is not None and b1 is not None and iou(b0, b1) > 0.0:
-                return False
-    return True
+    pairs = [(candidate.box_at(f), other.box_at(f)) for other in others for f in candidate.poses]
+    pairs = [(b0, b1) for b0, b1 in pairs if b1 is not None]
+    if not pairs:
+        return True
+    mine, theirs = zip(*pairs)
+    return not (iou(mine, theirs) > 0.0).any()
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +330,9 @@ def import_dataset(path):
 
     A malformed file, a frame or label before the meta record or with a ``t``
     that is not an int in ``range(duration)``, a frame with a NaN or inf
-    point or pose, or a label without an int id, an int point count >= 0 and
-    five finite box numbers, or one whose (t, id) repeats another label's,
-    raises ValueError.
+    point or pose or with the ``t`` of an earlier frame, or a label without
+    an int id, an int point count >= 0 and five finite box numbers, or one
+    whose (t, id) repeats another label's, raises ValueError.
     """
     meta = None
     frames = {}
@@ -360,6 +359,8 @@ def import_dataset(path):
                 if type(t) is not int or t not in meta[1]:
                     raise ValueError(f"t must be an int frame number below {len(meta[1])}, got {t!r}")
                 if kind == "frame":
+                    if t in frames:
+                        raise ValueError(f"frame record t={t} repeats an earlier one")
                     pts = np.asarray(rec["points"], dtype=np.float64).reshape(-1, 3)
                     if not (np.isfinite(pts).all() and np.isfinite(rec["pose"]).all()):
                         raise ValueError(f"frame {t} has a non-finite point or pose")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geom import RotatedBox, iou
+from .geom import BoxSet, RotatedBox, iou
 from .net import DetectionSet
 
 LIVE = "live"
@@ -65,18 +65,16 @@ class TrackletDecoder:
             if age < len(boxes):  # a gap in the frames can pass a forecast's reach
                 candidates.append((boxes[age], score * SCORE_DECAY**age, tid, None))
 
-        order = sorted(range(len(candidates)), key=lambda i: (-candidates[i][1], i))
-        assigned = [False] * len(candidates)
+        frame_boxes = BoxSet([c[0] for c in candidates])
+        live = np.argsort([-c[1] for c in candidates], kind="stable")
         claimed = set()  # ids emitted at this frame; groups claim them in score order
         emitted = []
-        for i in order:
-            if assigned[i]:
-                continue
-            group = []
-            for j in order:
-                if not assigned[j] and (j == i or iou(candidates[i][0], candidates[j][0]) >= MATCH_THR):
-                    group.append(candidates[j])
-                    assigned[j] = True
+        while len(live):
+            # the best candidate left leads a group of every later one it overlaps enough
+            i, live = live[0], live[1:]
+            joins = iou(frame_boxes[i], frame_boxes[live]) >= MATCH_THR
+            group = [candidates[j] for j in [i, *live[joins]]]
+            live = live[~joins]
             free = [tid for _box, _score, tid, _boxes in group if tid >= 0 and tid not in claimed]
             current = [(boxes, score) for _box, score, _tid, boxes in group if boxes is not None]
             if free:
@@ -130,10 +128,7 @@ def hungarian_track(detection_sets):
         dets = ds.detections
         matches = {}
         if prev and dets:
-            cost = np.ones((len(prev), len(dets)))
-            for i, (_tid, pbox) in enumerate(prev):
-                for j, det in enumerate(dets):
-                    cost[i, j] = 1.0 - iou(pbox, det.boxes[0])
+            cost = 1.0 - iou(BoxSet([b for _tid, b in prev])[:, None], [d.boxes[0] for d in dets])
             rows, cols = linear_sum_assignment(cost)
             for i, j in zip(rows, cols):
                 if 1.0 - cost[i, j] >= ASSOC_THR:

@@ -58,13 +58,10 @@ def assign_targets(anchors: AnchorGrid, objects: list[GtObject], n_out, iou_thr=
     valid = np.zeros((n, n_out))
 
     if objects:
-        ious = np.zeros((n, len(objects)))
-        for m, obj in enumerate(objects):
-            gt0 = obj.boxes[0]
-            if gt0 is None:
+        for obj in objects:
+            if obj.boxes[0] is None:
                 raise ValueError(f"gt object {obj.track_id} lacks a current-frame box")
-            for a, anchor in enumerate(anchors.boxes):
-                ious[a, m] = iou(anchor, gt0)
+        ious = iou(anchors.box_set[:, None], [obj.boxes[0] for obj in objects])
         best_gt = ious.argmax(axis=1)
         best_iou = ious[np.arange(n), best_gt]
         pos = best_iou > iou_thr

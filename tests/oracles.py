@@ -5,7 +5,105 @@ import math
 import numpy as np
 
 from bevtrack import tensor as T
-from bevtrack.geom import RotatedBox
+from bevtrack import track
+from bevtrack.geom import MIN_INTERSECTION_AREA, RotatedBox, clip_polygon, polygon_area
+
+
+def _fast_reject(a: RotatedBox, b: RotatedBox):
+    ra = 0.5 * math.hypot(a.w, a.h)
+    rb = 0.5 * math.hypot(b.w, b.h)
+    return math.hypot(a.cx - b.cx, a.cy - b.cy) > ra + rb
+
+
+def intersection_area(a: RotatedBox, b: RotatedBox):
+    if _fast_reject(a, b):
+        return 0.0
+    # canonical operand order makes the computation bitwise symmetric
+    if (b.cx, b.cy, b.w, b.h, b.theta) < (a.cx, a.cy, a.w, a.h, a.theta):
+        a, b = b, a
+    inter = clip_polygon(a.corners(), b.corners())
+    area = polygon_area(inter)
+    return area if area > MIN_INTERSECTION_AREA else 0.0
+
+
+def iou(a: RotatedBox, b: RotatedBox):
+    """Scalar IoU of two rotated boxes: the bitwise oracle for ``geom.iou``."""
+    inter = intersection_area(a, b)
+    if inter == 0.0:
+        return 0.0
+    return inter / (a.area + b.area - inter)
+
+
+def scalar_decode_box(anchor: RotatedBox, code, max_size_code=math.log(1000.0)):
+    """One box decoded value by value with ``math``: the oracle for ``net.decode_boxes``."""
+    lx, ly, sw, sh, asin, acos = np.asarray(code, dtype=np.float64).tolist()
+    w = anchor.w * math.exp(-min(max(sw, -max_size_code), max_size_code))
+    h = anchor.h * math.exp(-min(max(sh, -max_size_code), max_size_code))
+    return RotatedBox(anchor.cx - lx * w, anchor.cy - ly * h, w, h, math.atan2(asin, acos))
+
+
+def greedy_nms(dets, iou_thr):
+    """NMS over (RotatedBox, score) pairs, one oracle ``iou`` per kept box until one suppresses.
+
+    Same order and tie-break as ``geom.nms``: descending score, then lower
+    (cx, cy, theta), then lower index.
+    """
+    order = sorted(
+        range(len(dets)),
+        key=lambda i: (-dets[i][1], dets[i][0].cx, dets[i][0].cy, dets[i][0].theta),
+    )
+    kept = []
+    for i in order:
+        if all(iou(dets[i][0], dets[j][0]) < iou_thr for j in kept):
+            kept.append(i)
+    return kept
+
+
+class PairwiseTrackletDecoder(track.TrackletDecoder):
+    """``track.TrackletDecoder`` grouping candidates with one oracle ``iou`` per pair.
+
+    Each unassigned candidate, in score order, leads a group of every later
+    unassigned one it overlaps at ``MATCH_THR`` or more.
+    """
+
+    def step(self, detections, frame):
+        if self._frame is not None and frame <= self._frame:
+            raise ValueError(f"frame {frame} does not come after frame {self._frame}")
+        self._frame = frame
+        candidates = [(d.boxes[0], d.score, -1, d.boxes[: self.n_out]) for d in detections.detections]
+        for past, tid, boxes, score in self._buffer:
+            age = frame - past
+            if age < len(boxes):
+                candidates.append((boxes[age], score * track.SCORE_DECAY**age, tid, None))
+        order = sorted(range(len(candidates)), key=lambda i: (-candidates[i][1], i))
+        assigned = [False] * len(candidates)
+        claimed = set()
+        emitted = []
+        for i in order:
+            if assigned[i]:
+                continue
+            group = []
+            for j in order:
+                if not assigned[j] and (j == i or iou(candidates[i][0], candidates[j][0]) >= track.MATCH_THR):
+                    group.append(candidates[j])
+                    assigned[j] = True
+            free = [tid for _box, _score, tid, _boxes in group if tid >= 0 and tid not in claimed]
+            current = [(boxes, score) for _box, score, _tid, boxes in group if boxes is not None]
+            if free:
+                tid = min(free)
+            elif current:
+                tid = self._next_id
+                self._next_id += 1
+            else:
+                continue
+            claimed.add(tid)
+            emitted.append(track.TrackletFrame(
+                frame=frame, track_id=tid, box=track._average_boxes([c[0] for c in group]),
+                score=max(c[1] for c in group), status=track.LIVE if current else track.COASTING,
+            ))
+            self._buffer.extend((frame, tid, boxes, score) for boxes, score in current)
+        self._buffer = [e for e in self._buffer if frame + 1 - e[0] < len(e[2])]
+        return emitted
 
 
 def mc_iou(a: RotatedBox, b: RotatedBox, samples=1_000_000, seed=0):

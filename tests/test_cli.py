@@ -113,13 +113,22 @@ def test_wrong_typed_value_ends_in_error(assignments, tmp_path, capsys):
 
 # Out-of-range values: a zero width ended in a ZeroDivisionError traceback,
 # a z_range shorter than one cell ran every command on a network with no input,
-# and one of partial cells silently moved the top of the height range.
+# and one of partial cells silently moved the top of the height range. The
+# eval values were accepted: an association IoU of 0 matches disjoint boxes,
+# and a horizon below 1 compares a forecast with the present or the past.
 OUT_OF_RANGE = [
     ("train", "model.widths=[0,1,1,1]"),
     ("train", "model.widths=[2,2,2,-2]"),
     ("train", "model.head_width=-1"),
     ("generate", "grid.z_range=[0,0.1]"),
     ("generate", "grid.z_range=[0,0.5]"),
+    ("generate", "eval.assoc_iou=0"),
+    ("generate", "eval.forecast_match_iou=-1"),
+    ("generate", "eval.score_thr=1.5"),
+    ("generate", "eval.nms_thr=-0.1"),
+    ("generate", "eval.track_score_thr=7"),
+    ("generate", "eval.forecast_horizons=[1,0]"),
+    ("generate", "eval.min_points=-5"),
 ]
 
 
@@ -285,6 +294,7 @@ class TestLoadersFailClosed:
         "t-negative": ("label", {"t": -1}, False),
         "t-duration": ("label", {"t": TINY["sim"]["duration"]}, False),
         "frame-t-99": ("frame", {"t": 99}, True),
+        "frame-repeated": ("frame", {"points": []}, True),
     }
 
     @pytest.mark.parametrize("case", BAD_RECORDS)

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bevtrack.geom import (
+    BoxSet,
     RotatedBox,
     clip_polygon,
     iou,
@@ -11,7 +14,9 @@ from bevtrack.geom import (
     polygon_area,
     wrap_angle,
 )
-from oracles import mc_iou
+from bevtrack.net import MAX_SIZE_CODE, decode_boxes
+from oracles import greedy_nms, mc_iou
+from oracles import iou as scalar_iou
 
 
 def random_box(rng, span=10.0):
@@ -163,12 +168,12 @@ class TestMonteCarloIou:
 
 class TestNms:
     def test_single_box_kept(self):
-        kept = nms([(RotatedBox(0, 0, 1, 1, 0), 0.9)])
+        kept = nms([RotatedBox(0, 0, 1, 1, 0)], [0.9])
         assert kept == [0]
 
     def test_duplicate_keeps_higher_score(self):
         b = RotatedBox(0, 0, 2, 2, 0)
-        kept = nms([(b, 0.5), (b, 0.9)], iou_thr=0.5)
+        kept = nms([b, b], [0.5, 0.9], iou_thr=0.5)
         assert kept == [1]
 
     def test_chain_matches_greedy_reference(self):
@@ -183,19 +188,136 @@ class TestNms:
         for i in order:
             if all(iou(boxes[i][0], boxes[j][0]) < 0.2 for j in expect):
                 expect.append(i)
-        assert nms(boxes, iou_thr=0.2) == expect
+        assert nms([b for b, _ in boxes], [s for _, s in boxes], iou_thr=0.2) == expect
 
     def test_score_tie_breaks_lexicographically(self):
         a = RotatedBox(5, 0, 2, 2, 0)
         b = RotatedBox(0, 0, 2, 2, 0)
-        kept = nms([(a, 0.5), (b, 0.5)], iou_thr=0.9)
+        kept = nms([a, b], [0.5, 0.5], iou_thr=0.9)
         assert kept[0] == 1  # lower cx first
 
     def test_kept_pairwise_below_threshold(self):
         rng = np.random.default_rng(4)
         dets = [(random_box(rng, 3.0), float(rng.uniform())) for _ in range(30)]
-        kept = nms(dets, iou_thr=0.3)
+        kept = nms([b for b, _ in dets], [s for _, s in dets], iou_thr=0.3)
         for i in kept:
             for j in kept:
                 if i != j:
                     assert iou(dets[i][0], dets[j][0]) < 0.3
+
+
+# ---------------------------------------------------------------------------
+# the broadcasting iou against the scalar oracle: equal, not approximately equal
+
+coord = st.floats(-8.0, 8.0, allow_nan=False)
+side = st.floats(0.05, 10.0, allow_nan=False)
+heading = st.floats(-7.0, 7.0, allow_nan=False)  # beyond (-pi, pi] to exercise wrapping
+boxes = st.builds(RotatedBox, coord, coord, side, side, heading)
+
+
+def row(b):
+    return [b.cx, b.cy, b.w, b.h, b.theta]
+
+
+def assert_matches_oracle(a, b):
+    """iou over RotatedBoxes, rows and BoxSets equals the oracle bitwise, both ways round."""
+    want = scalar_iou(a, b)
+    for x, y in ((a, b), (row(a), row(b)), (BoxSet(a), BoxSet([b])[0])):
+        got = iou(x, y)
+        assert type(got) is float and got == want
+    assert iou(b, a) == want
+
+
+class TestIouMatchesScalarOracle:
+    @given(boxes, boxes)
+    def test_random_pairs(self, a, b):
+        assert_matches_oracle(a, b)
+
+    @given(st.tuples(coord, coord, side, side, st.floats(-30.0, 30.0)),
+           st.tuples(coord, coord, side, side, st.floats(-30.0, 30.0)))
+    def test_unwrapped_headings_in_arrays(self, a, b):
+        # arrays are wrapped as RotatedBox wraps, before corners and the operand order
+        want = scalar_iou(RotatedBox(*a), RotatedBox(*b))
+        assert iou(list(a), list(b)) == want
+        assert iou(np.array([a, b]), np.array([b, a])).tolist() == [want, want]
+
+    @given(boxes, st.floats(0.0, 0.1), st.sampled_from([0, 1, 2, 3]), st.floats(-0.05, 0.05))
+    def test_corner_to_corner_pairs(self, a, shrink, corner, turn):
+        # b's corner points back at a's: the boxes overlap, if at all, near the
+        # edge of the bounding-circle prefilter
+        cx, cy = a.corners()[corner]
+        ux, uy = (cx - a.cx) / math.hypot(cx - a.cx, cy - a.cy), (cy - a.cy) / math.hypot(cx - a.cx, cy - a.cy)
+        d = math.hypot(a.w, a.h) * (1.0 - shrink)  # the two bounding radii, shrunk
+        b = RotatedBox(a.cx + d * ux, a.cy + d * uy, a.w, a.h, a.theta + math.pi + turn)
+        assert_matches_oracle(a, b)
+
+    @given(boxes)
+    def test_duplicates(self, a):
+        assert_matches_oracle(a, a)
+        assert_matches_oracle(a, RotatedBox(a.cx, a.cy, a.w, a.h, a.theta + 2.0 * math.pi))
+
+    @given(boxes, boxes, st.integers(1, 4))
+    def test_keys_equal_in_their_leading_fields(self, a, b, shared):
+        # the canonical operand order compares (cx, cy, w, h, theta) past the shared fields
+        b = RotatedBox(*(row(a)[:shared] + row(b)[shared:]))
+        assert_matches_oracle(a, b)
+
+    @given(boxes, side, side, st.sampled_from([0.0, 0.5, 1.0, -1.0]), st.floats(-1.0, 1.0))
+    def test_edge_touching_pairs(self, a, w, h, lateral, slide):
+        # b shares a's heading and touches its front edge, or its side edge
+        c, s = math.cos(a.theta), math.sin(a.theta)
+        along, across = (a.h + h) / 2.0, slide * (a.w + w) / 2.0
+        if lateral:
+            along, across = slide * (a.h + h) / 2.0, lateral * (a.w + w) / 2.0
+        b = RotatedBox(a.cx + c * along - s * across, a.cy + s * along + c * across, w, h, a.theta)
+        assert_matches_oracle(a, b)
+
+    @given(boxes, side, side, heading, st.floats(-math.pi, math.pi))
+    def test_tangent_bounding_circles(self, a, w, h, theta, phi):
+        # circles that touch within rounding: numpy's prefilter may disagree with
+        # math.hypot, but the boxes can share at most a sliver below the area floor
+        reach = 0.5 * math.hypot(a.w, a.h) + 0.5 * math.hypot(w, h)
+        b = RotatedBox(a.cx + reach * math.cos(phi), a.cy + reach * math.sin(phi), w, h, theta)
+        assert_matches_oracle(a, b)
+        assert iou(a, b) == 0.0
+
+    @given(st.lists(st.sampled_from([-MAX_SIZE_CODE, MAX_SIZE_CODE, 0.0]), min_size=4, max_size=4),
+           st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4), heading)
+    def test_size_code_extremes(self, sizes, offsets, theta):
+        codes = [[offsets[0], offsets[1], sizes[0], sizes[1], math.sin(theta), math.cos(theta)],
+                 [offsets[2], offsets[3], sizes[2], sizes[3], 0.0, 1.0]]
+        a, b = (RotatedBox(*r) for r in decode_boxes([[0.0, 0.0, 2.0, 4.0, 0.0]] * 2, codes).tolist())
+        assert_matches_oracle(a, b)
+
+    @given(boxes, st.lists(boxes, max_size=6))
+    def test_one_box_against_a_set(self, a, others):
+        got = iou(row(a), np.reshape([row(b) for b in others], (-1, 5)))
+        assert got.shape == (len(others),)
+        assert got.tolist() == [scalar_iou(a, b) for b in others]
+        assert iou(a, others).tolist() == got.tolist()
+
+    @given(st.lists(boxes, max_size=5), st.lists(boxes, max_size=5))
+    def test_outer_broadcast(self, xs, ys):
+        a = np.reshape([row(b) for b in xs], (-1, 1, 5))
+        b = np.reshape([row(b) for b in ys], (1, -1, 5))
+        got = iou(a, b)
+        assert got.shape == (len(xs), len(ys))
+        assert got.tolist() == [[scalar_iou(x, y) for y in ys] for x in xs]
+        assert iou(BoxSet(xs)[:, None], BoxSet(ys)[None]).tolist() == got.tolist()
+
+    def test_empty_sets(self):
+        assert iou(np.zeros((0, 5)), [0.0, 0.0, 1.0, 1.0, 0.0]).shape == (0,)
+        assert iou(BoxSet([])[:, None], [RotatedBox(0, 0, 1, 1, 0)] * 3).shape == (0, 3)
+        assert iou(np.ones((2, 1, 5)), np.ones((1, 0, 5))).shape == (2, 0)
+
+    def test_rejects_a_bad_shape_or_side(self):
+        with pytest.raises(ValueError, match=r"\[\.\.\., 5\]"):
+            iou(np.ones(4), np.ones(5))
+        with pytest.raises(ValueError, match="positive"):
+            BoxSet([[0.0, 0.0, 0.0, 1.0, 0.0]])
+
+    @given(st.lists(st.tuples(boxes, st.sampled_from([0.2, 0.5, 0.9])), max_size=12),
+           st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    def test_nms_matches_greedy_oracle(self, dets, thr):
+        # few distinct scores, so the tie-break decides often
+        assert nms([b for b, _ in dets], [s for _, s in dets], thr) == greedy_nms(dets, thr)

@@ -262,6 +262,21 @@ class TestConfigAndReport:
         with pytest.raises(ValueError):
             EvalConfig(distance_bins=(20.0, 10.0))
 
+    @pytest.mark.parametrize("field,bad,edge", [
+        ("assoc_iou", (0.0, -1.0, 1.5), 1.0),
+        ("forecast_match_iou", (0.0, 1.01), 1.0),
+        ("score_thr", (-0.1, 1.5), 0.0),
+        ("nms_thr", (-1e-9, 2.0), 1.0),
+        ("track_score_thr", (7.0, -0.5), 0.0),
+        ("forecast_horizons", ((0,), (1, -2), (1, 2.0)), (1,)),
+        ("min_points", (-1, -5), 0),
+    ])
+    def test_values_out_of_range_rejected(self, field, bad, edge):
+        for value in bad:
+            with pytest.raises(ValueError, match=field.split("_")[0]):
+                EvalConfig(**{field: value})
+        assert getattr(EvalConfig(**{field: edge}), field) == edge
+
     def test_report_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         entries = {"map": 0.5, "bins": {"0-10": 1.0}}

@@ -22,6 +22,7 @@ from bevtrack.net import (
     init_params,
 )
 from bevtrack.voxel import GridSpec, InputTensor
+from oracles import greedy_nms, scalar_decode_box
 
 
 MICRO_GRID = GridSpec((-1.6, 1.6), (-1.6, 1.6), (0.0, 0.4), 0.2)  # 16x16, Z=2
@@ -297,6 +298,25 @@ class TestDecode:
         out = decode(HeadOutput(cls=cls, reg=reg), anchors, score_thr=0.5, nms_thr=0.5)
         assert len(out.detections) == 1
         assert out.detections[0].score == pytest.approx(0.9)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_decoding_every_candidate_then_suppressing(self, seed):
+        # the scalar path: every candidate's boxes decoded value by value, then greedy NMS
+        cfg = micro_config(n_out=3)
+        anchors = build_anchors(cfg)
+        rng = np.random.default_rng(seed)
+        cls = rng.uniform(size=anchors.shape)
+        reg = rng.normal(0.0, 0.5, (*anchors.shape[:1], 3, CODE_SIZE, *anchors.shape[1:]))
+        reg[:, :, 2:4] *= rng.choice([1.0, 40.0], size=reg[:, :, 2:4].shape)  # some sizes clamp
+        out = decode(HeadOutput(cls=cls, reg=reg), anchors, frame=7, score_thr=0.3, nms_thr=0.2)
+        candidates = []
+        for idx in np.flatnonzero(cls.reshape(-1) >= 0.3):
+            k, i, j = np.unravel_index(idx, anchors.shape)
+            boxes = [scalar_decode_box(anchors.boxes[idx], reg[k, t, :, i, j]) for t in range(3)]
+            candidates.append((int(idx), float(cls.reshape(-1)[idx]), boxes))
+        kept = greedy_nms([(boxes[0], score) for _idx, score, boxes in candidates], 0.2)
+        assert len(kept) > 1 and out.frame == 7
+        assert [(d.anchor_index, d.score, d.boxes) for d in out.detections] == [candidates[n] for n in kept]
 
     def test_invalid_threshold_rejected(self):
         cfg = micro_config()

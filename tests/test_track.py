@@ -14,6 +14,7 @@ from bevtrack.track import (
     hungarian_track,
     load_tracklets,
 )
+from oracles import PairwiseTrackletDecoder
 
 
 def det(cx, cy, score=1.0, n_out=3, vx=0.0, w=2.0, h=4.0, theta=0.0):
@@ -133,9 +134,11 @@ def test_random_stream_keeps_ids_unique_and_coasts_at_most_n_out_minus_one(seed)
     rng = np.random.default_rng(seed)
     n_out = 1 + seed % 5
     d = TrackletDecoder(n_out)
+    pairwise = PairwiseTrackletDecoder(n_out)
     last_live = {}
     for s in random_stream(rng, n_out, gaps=seed % 3 == 0):
         out = d.step(s, s.frame)
+        assert out == pairwise.step(s, s.frame), f"frame {s.frame}: grouping differs from the pairwise oracle"
         ids = [r.track_id for r in out]
         assert len(ids) == len(set(ids)), f"frame {s.frame}: an id emitted twice"
         for r in out:

@@ -51,16 +51,6 @@ class ScoredBox:
 
 
 @dataclass
-class GtBox:
-    """One ground-truth box with its 3D point count (for don't-care rules)."""
-
-    frame: int
-    box: object
-    num_points: int = 3
-    track_id: int = -1
-
-
-@dataclass
 class PRCurve:
     recall: list
     precision: list
@@ -89,11 +79,13 @@ def frame_ious(dets, gts):
 def average_precision(dets, gts, iou_thr, min_points=3, ious=None):
     """All-point interpolated AP with the minimum-points don't-care rule.
 
-    Detections are ranked globally by score and matched greedily to the
-    not-yet-matched ground truth of their frame. A detection whose best
-    match is a don't-care box counts neither as hit nor false positive.
-    ``ious`` is :func:`frame_ious` of these boxes or of a superset, computed
-    when None. Returns None when no cared-for ground truth exists.
+    ``gts`` are ground-truth records (``sim.LabelRecord``) with their boxes
+    in the detections' coordinates. Detections are ranked globally by score
+    and matched greedily to the not-yet-matched ground truth of their frame.
+    A detection whose best match is a don't-care box counts neither as hit
+    nor false positive. ``ious`` is :func:`frame_ious` of these boxes or of a
+    superset, computed when None. Returns None when no cared-for ground truth
+    exists.
     """
     care = [g for g in gts if g.num_points >= min_points]
     dontcare = [g for g in gts if g.num_points < min_points]

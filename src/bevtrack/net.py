@@ -73,6 +73,11 @@ class ModelConfig:
             raise ValueError(f"n_in={self.n_in} needs more temporal layers than the first group holds")
         self.widths = tuple(int(w) for w in self.widths)
         self.anchor_specs = tuple((float(s), float(r)) for s, r in self.anchor_specs)
+        if not self.anchor_specs:
+            raise ValueError("anchor_specs must hold at least one (size, ratio) pair")
+        for spec in self.anchor_specs:
+            if not all(math.isfinite(v) and v > 0.0 for v in spec):
+                raise ValueError(f"anchor spec {list(spec)} needs a finite size and ratio > 0")
 
     @property
     def num_anchors(self):
@@ -97,17 +102,13 @@ class ModelConfig:
 class AnchorGrid:
     """Predefined zero-heading boxes, one set of K per feature location."""
 
-    boxes: list  # flat list of RotatedBox, index = (k * I + i) * J + j
     shape: tuple  # (K, I, J)
-    array: np.ndarray  # the same boxes as an [N, 5] array
+    array: np.ndarray  # [N, 5] (cx, cy, w, h, theta), row = (k * I + i) * J + j
 
     @cached_property
     def box_set(self):
         """``array`` as a BoxSet, built on first use and shared by every sample."""
         return BoxSet(self.array)
-
-    def __len__(self):
-        return len(self.boxes)
 
 
 def build_anchors(config: ModelConfig):
@@ -123,10 +124,7 @@ def build_anchors(config: ModelConfig):
             for j in range(J):
                 cy = y0 + (j + 0.5) * cell
                 rows.append((cx, cy, w, h, 0.0))
-    return AnchorGrid(
-        boxes=[RotatedBox(*r) for r in rows], shape=(config.num_anchors, I, J),
-        array=np.reshape(rows, (-1, 5)),
-    )
+    return AnchorGrid(shape=(config.num_anchors, I, J), array=np.reshape(rows, (-1, 5)))
 
 
 @dataclass
@@ -152,22 +150,31 @@ class DetectionSet:
 # box <-> regression code
 
 
-def encode_box(anchor: RotatedBox, gt: RotatedBox):
-    """Regression code of a ground-truth box against an anchor."""
-    return np.array(
-        [
-            (anchor.cx - gt.cx) / gt.w,
-            (anchor.cy - gt.cy) / gt.h,
-            math.log(anchor.w / gt.w),
-            math.log(anchor.h / gt.h),
-            math.sin(gt.theta),
-            math.cos(gt.theta),
-        ]
-    )
+def _by_value(fn, values):
+    """``fn`` over an array one value at a time: ``math`` is the same for any batch."""
+    return np.reshape([fn(v) for v in values.ravel().tolist()], values.shape)
+
+
+def encode_boxes(anchors, gts):
+    """Regression codes of ``[..., 5]`` ground-truth rows against ``[..., 5]`` anchor rows.
+
+    Returns ``[..., 6]`` codes. log runs through ``math`` value by value, as
+    exp does in :func:`decode_boxes`, so a code does not depend on the batch.
+    """
+    anchors, gts = np.broadcast_arrays(np.asarray(anchors, dtype=np.float64), np.asarray(gts, dtype=np.float64))
+    w, h = gts[..., 2], gts[..., 3]
+    return np.stack([
+        (anchors[..., 0] - gts[..., 0]) / w,
+        (anchors[..., 1] - gts[..., 1]) / h,
+        _by_value(math.log, anchors[..., 2] / w),
+        _by_value(math.log, anchors[..., 3] / h),
+        np.sin(gts[..., 4]),
+        np.cos(gts[..., 4]),
+    ], axis=-1)
 
 
 def decode_boxes(anchors, codes):
-    """Inverse of :func:`encode_box` over ``[..., 5]`` anchor rows and ``[..., 6]`` codes.
+    """Inverse of :func:`encode_boxes` over ``[..., 5]`` anchor rows and ``[..., 6]`` codes.
 
     Returns a ``[..., 5]`` box array; sizes decode first, then offsets. Size
     codes are clamped to +-MAX_SIZE_CODE so no side overflows or vanishes.
@@ -177,7 +184,7 @@ def decode_boxes(anchors, codes):
     anchors = np.asarray(anchors, dtype=np.float64)
     codes = np.asarray(codes, dtype=np.float64)
     sizes = np.clip(codes[..., 2:4], -MAX_SIZE_CODE, MAX_SIZE_CODE)
-    scale = np.reshape([math.exp(-v) for v in sizes.ravel().tolist()], sizes.shape)
+    scale = _by_value(math.exp, -sizes)
     w = anchors[..., 2] * scale[..., 0]
     h = anchors[..., 3] * scale[..., 1]
     theta = np.reshape(
@@ -185,11 +192,6 @@ def decode_boxes(anchors, codes):
         w.shape,
     )
     return np.stack([anchors[..., 0] - codes[..., 0] * w, anchors[..., 1] - codes[..., 1] * h, w, h, theta], axis=-1)
-
-
-def decode_box(anchor: RotatedBox, code):
-    """:func:`decode_boxes` for one anchor and code."""
-    return RotatedBox(*decode_boxes([anchor.cx, anchor.cy, anchor.w, anchor.h, anchor.theta], code).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from dataclasses import replace
 
 from .metrics import (
     EvalConfig,
-    GtBox,
     ScoredBox,
     average_precision,
     clear_mot,
@@ -46,7 +45,7 @@ def detections_to_world(detection_sets, dataset: Dataset):
 
 
 def _eval_boxes(detection_sets, dataset: Dataset):
-    """(ScoredBox list, GtBox list) in ego coordinates, on evaluated frames."""
+    """(ScoredBox list, LabelRecord list) in ego coordinates, on evaluated frames."""
     frames = {ds.frame for ds in detection_sets}
     dets = [
         ScoredBox(frame=ds.frame, box=d.boxes[0], score=d.score)
@@ -56,15 +55,7 @@ def _eval_boxes(detection_sets, dataset: Dataset):
     gts = []
     for t in sorted(frames):
         pose = dataset.frames[t].pose
-        for lab in dataset.labels.get(t, []):
-            gts.append(
-                GtBox(
-                    frame=t,
-                    box=box_world_to_ego(lab.box, pose),
-                    num_points=lab.num_points,
-                    track_id=lab.track_id,
-                )
-            )
+        gts.extend(replace(lab, box=box_world_to_ego(lab.box, pose)) for lab in dataset.labels.get(t, []))
     return dets, gts
 
 

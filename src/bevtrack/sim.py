@@ -182,8 +182,8 @@ def _segment_hits_box(px, py, qx, qy, box: RotatedBox):
     return t1 - t0 > 1e-9
 
 
-def simulate_lidar(scene: Scene, t, config: SimConfig, return_counts=False):
-    """Sample one frame of edge points; returns points in the ego frame."""
+def simulate_lidar(scene: Scene, t, config: SimConfig):
+    """Sample one frame of edge points in the ego frame; returns (LidarFrame, points per track id)."""
     if not 0 <= t < scene.duration:
         raise ValueError(f"frame {t} outside scene duration {scene.duration}")
     rng = np.random.default_rng([config.seed, 7919, t])
@@ -242,7 +242,7 @@ def simulate_lidar(scene: Scene, t, config: SimConfig, return_counts=False):
     else:
         pts = np.zeros((0, 3))
     frame = LidarFrame(points=pts, pose=ego, timestamp=t)
-    return (frame, counts) if return_counts else frame
+    return frame, counts
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +270,7 @@ def build_dataset(scene: Scene, config: SimConfig):
     frames = []
     labels = {}
     for t in range(scene.duration):
-        frame, counts = simulate_lidar(scene, t, config, return_counts=True)
+        frame, counts = simulate_lidar(scene, t, config)
         frames.append(frame)
         recs = []
         for v in scene.vehicles:
@@ -437,12 +437,11 @@ class Sample:
     objects: list  # of GtObject
 
 
-def make_samples(dataset: Dataset, grid: GridSpec, n_in, n_out, min_points=0):
+def make_samples(dataset: Dataset, grid: GridSpec, n_in, n_out):
     """Training samples for every frame with full history.
 
     Ground-truth boxes (current and future) are expressed in the sample's
     current ego frame; future boxes of vanished tracks are left as None.
-    Objects below ``min_points`` at the current frame are skipped.
     """
     samples = []
     sample_frames = []
@@ -455,8 +454,6 @@ def make_samples(dataset: Dataset, grid: GridSpec, n_in, n_out, min_points=0):
         }
         objects = []
         for tid, lab in sorted(by_id.items()):
-            if lab.num_points < min_points:
-                continue
             boxes = [box_world_to_ego(lab.box, pose)]
             for h in range(1, n_out):
                 fut = next(

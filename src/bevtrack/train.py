@@ -9,7 +9,7 @@ import numpy as np
 
 from . import tensor as T
 from .geom import iou
-from .net import CODE_SIZE, AnchorGrid, Model, encode_box
+from .net import CODE_SIZE, AnchorGrid, Model, encode_boxes
 from .sim import GtObject, Sample
 from .voxel import InputTensor
 
@@ -17,7 +17,6 @@ from .voxel import InputTensor
 @dataclass
 class TargetAssignment:
     labels: np.ndarray  # [K, I, J] in {0, 1}
-    matched_gt: np.ndarray  # [K, I, J] index into the gt list, -1 for background
     targets: np.ndarray  # [K, n_out, 6, I, J]
     valid: np.ndarray  # [K, n_out, I, J] timestamps with an existing gt box
 
@@ -40,6 +39,14 @@ class TrainConfig:
             raise ValueError("milestones must be fractions in (0, 1)")
         if self.hnm_ratio < 1:
             raise ValueError("hnm_ratio must be >= 1")
+        if self.iterations < 0:
+            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not self.lr > 0.0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0.0 < self.iou_match_thr <= 1.0:
+            raise ValueError(f"iou_match_thr must lie in (0, 1], got {self.iou_match_thr}")
 
 
 def assign_targets(anchors: AnchorGrid, objects: list[GtObject], n_out, iou_thr=0.4):
@@ -70,18 +77,19 @@ def assign_targets(anchors: AnchorGrid, objects: list[GtObject], n_out, iou_thr=
             if not np.any(matched == m):
                 matched[ious[:, m].argmax()] = m
         labels[matched >= 0] = 1.0
-        for a in np.flatnonzero(matched >= 0):
-            obj = objects[matched[a]]
-            anchor = anchors.boxes[a]
-            for t in range(n_out):
-                box = obj.boxes[t] if t < len(obj.boxes) else None
+        # (anchor, timestamp) pairs with a box, all encoded at once
+        a_idx, t_idx, gts = [], [], []
+        for a in np.flatnonzero(matched >= 0).tolist():
+            for t, box in enumerate(objects[matched[a]].boxes[:n_out]):
                 if box is not None:
-                    targets[a, t] = encode_box(anchor, box)
-                    valid[a, t] = 1.0
+                    a_idx.append(a)
+                    t_idx.append(t)
+                    gts.append((box.cx, box.cy, box.w, box.h, box.theta))
+        targets[a_idx, t_idx] = encode_boxes(anchors.array[a_idx], np.reshape(gts, (-1, 5)))
+        valid[a_idx, t_idx] = 1.0
 
     return TargetAssignment(
         labels=labels.reshape(K, I, J),
-        matched_gt=matched.reshape(K, I, J),
         targets=targets.reshape(K, I, J, n_out, CODE_SIZE).transpose(0, 3, 4, 1, 2),
         valid=valid.reshape(K, I, J, n_out).transpose(0, 3, 1, 2),
     )

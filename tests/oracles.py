@@ -34,6 +34,21 @@ def iou(a: RotatedBox, b: RotatedBox):
     return inter / (a.area + b.area - inter)
 
 
+def scalar_encode_box(anchor: RotatedBox, gt: RotatedBox):
+    """Regression code of one ground-truth box against one anchor, value by value
+    with ``math``: the oracle for ``net.encode_boxes``."""
+    return np.array(
+        [
+            (anchor.cx - gt.cx) / gt.w,
+            (anchor.cy - gt.cy) / gt.h,
+            math.log(anchor.w / gt.w),
+            math.log(anchor.h / gt.h),
+            math.sin(gt.theta),
+            math.cos(gt.theta),
+        ]
+    )
+
+
 def scalar_decode_box(anchor: RotatedBox, code, max_size_code=math.log(1000.0)):
     """One box decoded value by value with ``math``: the oracle for ``net.decode_boxes``."""
     lx, ly, sw, sh, asin, acos = np.asarray(code, dtype=np.float64).tolist()

@@ -17,7 +17,6 @@ from bevtrack.cli import main as cli_main
 from bevtrack.geom import RotatedBox, iou
 from bevtrack.metrics import (
     EvalConfig,
-    GtBox,
     ScoredBox,
     average_precision,
     clear_mot,
@@ -29,11 +28,11 @@ from bevtrack.net import (
     Model,
     ModelConfig,
     build_anchors,
-    decode_box,
-    encode_box,
+    decode_boxes,
+    encode_boxes,
 )
 from bevtrack.pipeline import detect_dataset, evaluate_detection, evaluate_forecast
-from bevtrack.sim import GtObject, SimConfig, generate_dataset, gt_tracks_world, make_samples
+from bevtrack.sim import GtObject, LabelRecord, SimConfig, generate_dataset, gt_tracks_world, make_samples
 from bevtrack.track import TrackletFrame, decode_tracklets, hungarian_track
 from bevtrack.train import (
     TrainConfig,
@@ -271,7 +270,7 @@ def test_c02_geometry_oracle():
 
 def test_c03_box_codec_roundtrip():
     rng = np.random.default_rng(42)
-    worst = 0.0
+    anchors, gts = [], []
     for _ in range(10_000):
         anchor = RotatedBox(
             rng.uniform(-20, 20), rng.uniform(-20, 20), rng.uniform(1, 8), rng.uniform(1, 8), 0.0
@@ -280,12 +279,10 @@ def test_c03_box_codec_roundtrip():
             anchor.cx + rng.uniform(-3, 3), anchor.cy + rng.uniform(-3, 3),
             rng.uniform(1, 8), rng.uniform(1, 8), rng.uniform(-math.pi, math.pi),
         )
-        back = decode_box(anchor, encode_box(anchor, gt))
-        worst = max(
-            worst,
-            abs(back.cx - gt.cx), abs(back.cy - gt.cy),
-            abs(back.w - gt.w), abs(back.h - gt.h), abs(back.theta - gt.theta),
-        )
+        anchors.append((anchor.cx, anchor.cy, anchor.w, anchor.h, anchor.theta))
+        gts.append((gt.cx, gt.cy, gt.w, gt.h, gt.theta))
+    back = decode_boxes(anchors, encode_boxes(anchors, gts))
+    worst = float(np.abs(back - np.array(gts)).max())
     report(3, "anchor encode/decode roundtrip (10k pairs)", worst < 1e-9, f"max err {worst:.2e}")
 
 
@@ -517,21 +514,24 @@ def test_c09_metric_hand_cases():
     def b(cx, cy):
         return RotatedBox(cx, cy, 2.0, 4.0, 0.0)
 
+    def gt(cx, cy, num_points=3):
+        return LabelRecord(frame=0, track_id=-1, box=b(cx, cy), num_points=num_points)
+
     ok = True
     # AP: perfect single match
-    pr = average_precision([ScoredBox(0, b(0, 0), 0.9)], [GtBox(0, b(0, 0))], 0.5)
+    pr = average_precision([ScoredBox(0, b(0, 0), 0.9)], [gt(0, 0)], 0.5)
     ok &= pr.ap == 1.0
     # AP: detection on a don't-care box leaves the remaining GT untouched
     pr = average_precision(
         [ScoredBox(0, b(0, 0), 0.9), ScoredBox(0, b(10, 0), 0.8)],
-        [GtBox(0, b(0, 0), num_points=5), GtBox(0, b(10, 0), num_points=1)],
+        [gt(0, 0, num_points=5), gt(10, 0, num_points=1)],
         0.5,
     )
     ok &= pr.ap == 1.0 and pr.precision == [1.0]
     # AP: 3 detections / 2 GT, ranked hit-miss-hit
     pr = average_precision(
         [ScoredBox(0, b(0, 0), 0.9), ScoredBox(0, b(20, 0), 0.8), ScoredBox(0, b(10, 0), 0.7)],
-        [GtBox(0, b(0, 0)), GtBox(0, b(10, 0))],
+        [gt(0, 0), gt(10, 0)],
         0.5,
     )
     ok &= abs(pr.ap - (0.5 + 0.5 * 2.0 / 3.0)) < 1e-15

@@ -116,6 +116,9 @@ def test_wrong_typed_value_ends_in_error(assignments, tmp_path, capsys):
 # and one of partial cells silently moved the top of the height range. The
 # eval values were accepted: an association IoU of 0 matches disjoint boxes,
 # and a horizon below 1 compares a forecast with the present or the past.
+# An anchor ratio of 0 ended in a traceback, and the train values trained
+# nothing (a batch of 0, no iterations), ascended the loss (a negative lr) or
+# left only the force-assigned positives (a match IoU above 1).
 OUT_OF_RANGE = [
     ("train", "model.widths=[0,1,1,1]"),
     ("train", "model.widths=[2,2,2,-2]"),
@@ -129,6 +132,14 @@ OUT_OF_RANGE = [
     ("generate", "eval.track_score_thr=7"),
     ("generate", "eval.forecast_horizons=[1,0]"),
     ("generate", "eval.min_points=-5"),
+    ("train", "model.anchor_specs=[[5,0]]"),
+    ("train", "model.anchor_specs=[[5,-1]]"),
+    ("train", "model.anchor_specs=[]"),
+    ("train", "model.anchor_specs=[[0,1]]"),
+    ("train", "train.batch_size=0"),
+    ("train", "train.lr=-1"),
+    ("train", "train.iou_match_thr=2"),
+    ("train", "train.iterations=-3"),
 ]
 
 

@@ -7,7 +7,6 @@ from bevtrack.geom import RotatedBox
 from bevtrack.metrics import (
     EvalConfig,
     ForecastResult,
-    GtBox,
     MotResult,
     ScoredBox,
     average_precision,
@@ -17,6 +16,7 @@ from bevtrack.metrics import (
     write_report,
 )
 from bevtrack.net import Detection, DetectionSet
+from bevtrack.sim import LabelRecord
 from bevtrack.track import TrackletFrame
 
 
@@ -29,7 +29,7 @@ def sbox(cx, cy, score, frame=0):
 
 
 def gbox(cx, cy, frame=0, num_points=3, track_id=-1):
-    return GtBox(frame=frame, box=box(cx, cy), num_points=num_points, track_id=track_id)
+    return LabelRecord(frame=frame, track_id=track_id, box=box(cx, cy), num_points=num_points)
 
 
 class TestAveragePrecision:

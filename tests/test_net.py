@@ -1,9 +1,12 @@
 import gc
 import math
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bevtrack import tensor as T
 from bevtrack.config import from_dict, to_dict
@@ -16,13 +19,13 @@ from bevtrack.net import (
     ModelConfig,
     build_anchors,
     decode,
-    decode_box,
-    encode_box,
+    decode_boxes,
+    encode_boxes,
     HeadOutput,
     init_params,
 )
 from bevtrack.voxel import GridSpec, InputTensor
-from oracles import greedy_nms, scalar_decode_box
+from oracles import greedy_nms, scalar_decode_box, scalar_encode_box
 
 
 MICRO_GRID = GridSpec((-1.6, 1.6), (-1.6, 1.6), (0.0, 0.4), 0.2)  # 16x16, Z=2
@@ -65,89 +68,112 @@ class TestAnchors:
     def test_square_five_meter(self):
         cfg = micro_config()
         anchors = build_anchors(cfg)
-        k0 = anchors.boxes[0]
-        assert k0.w == pytest.approx(5.0) and k0.h == pytest.approx(5.0)
+        _cx, _cy, w, h, _theta = anchors.array[0]
+        assert w == pytest.approx(5.0) and h == pytest.approx(5.0)
 
     def test_one_to_two_ratio(self):
         cfg = micro_config()
         _i, _j = cfg.feat_shape
         anchors = build_anchors(cfg)
-        b = anchors.boxes[_i * _j]  # second anchor kind, ratio 1:2
-        assert b.w == pytest.approx(5.0 / math.sqrt(2))
-        assert b.h == pytest.approx(5.0 * math.sqrt(2))
-        assert b.w * b.h == pytest.approx(25.0)
+        _cx, _cy, w, h, _theta = anchors.array[_i * _j]  # second anchor kind, ratio 1:2
+        assert w == pytest.approx(5.0 / math.sqrt(2))
+        assert h == pytest.approx(5.0 * math.sqrt(2))
+        assert w * h == pytest.approx(25.0)
 
     def test_six_kinds_per_location(self):
         cfg = micro_config()
         anchors = build_anchors(cfg)
         I, J = cfg.feat_shape
         assert anchors.shape == (6, I, J)
-        assert len(anchors) == 6 * I * J
+        assert anchors.array.shape == (6 * I * J, 5)
 
     def test_centers_at_feature_cells(self):
         cfg = micro_config()
         anchors = build_anchors(cfg)
-        assert anchors.boxes[0].cx == pytest.approx(-1.6 + 0.5 * 1.6)
-        assert all(b.theta == 0.0 for b in anchors.boxes)
+        assert anchors.array[0, 0] == pytest.approx(-1.6 + 0.5 * 1.6)
+        assert (anchors.array[:, 4] == 0.0).all()
 
 
 class TestBoxCodec:
     def test_identity_pair(self):
-        a = RotatedBox(2, 3, 4, 6, 0)
-        np.testing.assert_allclose(encode_box(a, a), [0, 0, 0, 0, 0, 1], atol=1e-15)
+        a = [2, 3, 4, 6, 0]
+        np.testing.assert_allclose(encode_boxes(a, a), [0, 0, 0, 0, 0, 1], atol=1e-15)
 
     def test_hand_case(self):
-        code = encode_box(RotatedBox(0, 0, 5, 5, 0), RotatedBox(1, 0, 5, 10, 0))
+        code = encode_boxes([0, 0, 5, 5, 0], [1, 0, 5, 10, 0])
         np.testing.assert_allclose(code, [-0.2, 0, 0, -math.log(2), 0, 1], atol=1e-12)
 
     def test_hand_decode(self):
-        box = decode_box(RotatedBox(0, 0, 5, 5, 0), [-0.2, 0, 0, -math.log(2), 0, 1])
-        assert (box.cx, box.cy, box.w, box.h, box.theta) == pytest.approx((1, 0, 5, 10, 0))
+        box = decode_boxes([0, 0, 5, 5, 0], [-0.2, 0, 0, -math.log(2), 0, 1])
+        assert box.tolist() == pytest.approx([1, 0, 5, 10, 0])
 
     def test_heading_from_sin_cos(self):
-        a = RotatedBox(0, 0, 2, 2, 0)
-        assert decode_box(a, [0, 0, 0, 0, 0.0, 1.0]).theta == 0.0
-        assert decode_box(a, [0, 0, 0, 0, 1.0, 0.0]).theta == pytest.approx(math.pi / 2)
+        a = [0, 0, 2, 2, 0]
+        assert decode_boxes(a, [0, 0, 0, 0, 0.0, 1.0])[4] == 0.0
+        assert decode_boxes(a, [0, 0, 0, 0, 1.0, 0.0])[4] == pytest.approx(math.pi / 2)
 
     def test_pi_ambiguity_resolved(self):
-        a = RotatedBox(0, 0, 2, 4, 0)
-        c0 = encode_box(a, RotatedBox(0, 0, 2, 4, 0.0))
-        cpi = encode_box(a, RotatedBox(0, 0, 2, 4, math.pi))
+        a = [0, 0, 2, 4, 0]
+        c0, cpi = encode_boxes(a, [[0, 0, 2, 4, 0.0], [0, 0, 2, 4, math.pi]])
         assert c0[5] == pytest.approx(1.0) and cpi[5] == pytest.approx(-1.0)
 
     def test_roundtrip_10k_random_pairs(self):
         rng = np.random.default_rng(42)
-        worst = 0.0
-        for _ in range(10_000):
-            anchor = RotatedBox(rng.uniform(-20, 20), rng.uniform(-20, 20), rng.uniform(1, 8), rng.uniform(1, 8), 0.0)
-            gt = RotatedBox(
-                anchor.cx + rng.uniform(-3, 3),
-                anchor.cy + rng.uniform(-3, 3),
-                rng.uniform(1, 8),
-                rng.uniform(1, 8),
-                rng.uniform(-math.pi, math.pi),
-            )
-            back = decode_box(anchor, encode_box(anchor, gt))
-            worst = max(
-                worst,
-                abs(back.cx - gt.cx),
-                abs(back.cy - gt.cy),
-                abs(back.w - gt.w),
-                abs(back.h - gt.h),
-                abs(back.theta - gt.theta),
-            )
-        assert worst < 1e-9
+        anchors = np.column_stack([rng.uniform(-20, 20, 10_000), rng.uniform(-20, 20, 10_000),
+                                   rng.uniform(1, 8, 10_000), rng.uniform(1, 8, 10_000), np.zeros(10_000)])
+        gts = np.column_stack([anchors[:, 0] + rng.uniform(-3, 3, 10_000), anchors[:, 1] + rng.uniform(-3, 3, 10_000),
+                               rng.uniform(1, 8, 10_000), rng.uniform(1, 8, 10_000),
+                               rng.uniform(-math.pi, math.pi, 10_000)])
+        back = decode_boxes(anchors, encode_boxes(anchors, gts))
+        assert np.abs(back - gts).max() < 1e-9
 
     def test_decode_translation_equivariance(self):
         rng = np.random.default_rng(7)
         code = rng.uniform(-0.5, 0.5, CODE_SIZE)
         code[4:] = [0.3, 0.8]
-        a = RotatedBox(1.0, 2.0, 4.0, 5.0, 0.0)
-        b0 = decode_box(a, code)
-        shifted = RotatedBox(a.cx + 3.0, a.cy - 2.0, a.w, a.h, 0.0)
-        b1 = decode_box(shifted, code)
-        assert b1.cx - b0.cx == pytest.approx(3.0)
-        assert b1.cy - b0.cy == pytest.approx(-2.0)
+        b0, b1 = decode_boxes([[1.0, 2.0, 4.0, 5.0, 0.0], [4.0, 0.0, 4.0, 5.0, 0.0]], [code, code])
+        assert b1[0] - b0[0] == pytest.approx(3.0)
+        assert b1[1] - b0[1] == pytest.approx(-2.0)
+
+
+coord = st.floats(-50.0, 50.0)
+side = st.floats(0.1, 10.0)
+row = st.tuples(coord, coord, side, side, st.floats(-math.pi, math.pi))
+# a ground-truth row with sides about 1000 times or a thousandth of the anchor's
+far_ratio = st.sampled_from([1e-3, 1e3]).flatmap(lambda r: st.floats(0.5 * r, 2.0 * r))
+
+
+def scalar_codes(anchors, gts):
+    """``scalar_encode_box`` over broadcast rows, taking each heading as given."""
+    boxes = [SimpleNamespace(**dict(zip(("cx", "cy", "w", "h", "theta"), r))) for r in (anchors, gts)]
+    return scalar_encode_box(*boxes).tolist()
+
+
+class TestEncodeMatchesScalarOracle:
+    def assert_matches(self, anchors, gts):
+        got = encode_boxes(anchors, gts)
+        a, g = np.broadcast_arrays(np.asarray(anchors, dtype=float), np.asarray(gts, dtype=float))
+        assert got.shape == a.shape[:-1] + (CODE_SIZE,)
+        assert got.reshape(-1, CODE_SIZE).tolist() == [
+            scalar_codes(x, y) for x, y in zip(a.reshape(-1, 5).tolist(), g.reshape(-1, 5).tolist())
+        ]
+
+    @given(st.lists(st.tuples(row, row), max_size=8))
+    def test_random_pairs(self, pairs):
+        self.assert_matches(np.reshape([a for a, _ in pairs], (-1, 5)), np.reshape([g for _, g in pairs], (-1, 5)))
+
+    @given(row, st.lists(st.tuples(coord, coord, far_ratio, far_ratio, st.floats(-math.pi, math.pi)), max_size=8))
+    def test_one_anchor_against_far_side_ratios(self, anchor, scaled):
+        gts = [(cx, cy, anchor[2] / rw, anchor[3] / rh, th) for cx, cy, rw, rh, th in scaled]
+        self.assert_matches(anchor, np.reshape(gts, (-1, 5)))
+
+    @given(st.lists(st.tuples(row, st.tuples(coord, coord, side, side, st.floats(-30.0, 30.0))), min_size=1, max_size=8))
+    def test_unwrapped_headings(self, pairs):
+        self.assert_matches([a for a, _ in pairs], [g for _, g in pairs])
+
+    def test_empty(self):
+        assert encode_boxes(np.zeros((0, 5)), np.zeros((0, 5))).shape == (0, CODE_SIZE)
+        assert encode_boxes([0, 0, 5, 5, 0], np.zeros((0, 5))).shape == (0, CODE_SIZE)
 
 
 class TestForward:
@@ -271,7 +297,7 @@ class TestDecode:
         cls = np.zeros((K, I, J))
         reg = np.zeros((K, cfg.n_out, CODE_SIZE, I, J))
         cls[0, 0, 0] = 0.95
-        code = encode_box(anchors.boxes[0], gt)
+        code = encode_boxes(anchors.array[0], [gt.cx, gt.cy, gt.w, gt.h, gt.theta])
         for t in range(cfg.n_out):
             reg[0, t, :, 0, 0] = code
         out = decode(HeadOutput(cls=cls, reg=reg), anchors, score_thr=0.5)
@@ -290,11 +316,11 @@ class TestDecode:
         cls[0, 0, 0] = 0.9
         cls[0, 0, 1] = 0.8  # neighboring anchor, same decoded box after offset
         # make the second detection decode onto the first one's footprint
-        a0, a1 = anchors.boxes[0], anchors.boxes[1]
-        code1 = encode_box(a1, RotatedBox(a0.cx, a0.cy, a0.w, a0.h, 0.0))
+        a0, a1 = anchors.array[0], anchors.array[1]
+        code1 = encode_boxes(a1, a0)
         reg[0, 0, :, 0, 1] = code1
         # but give it a distinct future box
-        reg[0, 1, :, 0, 1] = encode_box(a1, RotatedBox(a1.cx, a1.cy, 1.0, 1.0, 0.0))
+        reg[0, 1, :, 0, 1] = encode_boxes(a1, [a1[0], a1[1], 1.0, 1.0, 0.0])
         out = decode(HeadOutput(cls=cls, reg=reg), anchors, score_thr=0.5, nms_thr=0.5)
         assert len(out.detections) == 1
         assert out.detections[0].score == pytest.approx(0.9)
@@ -312,7 +338,8 @@ class TestDecode:
         candidates = []
         for idx in np.flatnonzero(cls.reshape(-1) >= 0.3):
             k, i, j = np.unravel_index(idx, anchors.shape)
-            boxes = [scalar_decode_box(anchors.boxes[idx], reg[k, t, :, i, j]) for t in range(3)]
+            anchor = RotatedBox(*anchors.array[idx].tolist())
+            boxes = [scalar_decode_box(anchor, reg[k, t, :, i, j]) for t in range(3)]
             candidates.append((int(idx), float(cls.reshape(-1)[idx]), boxes))
         kept = greedy_nms([(boxes[0], score) for _idx, score, boxes in candidates], 0.2)
         assert len(kept) > 1 and out.frame == 7
@@ -339,5 +366,5 @@ class TestDecode:
         out = decode(HeadOutput(cls=cls, reg=reg), anchors, score_thr=0.5, nms_thr=1.0)
         assert sorted(d.anchor_index for d in out.detections) == [0, 1]
         wide, narrow = sorted((d.boxes[0] for d in out.detections), key=lambda b: -b.w)
-        assert wide.w == pytest.approx(anchors.boxes[0].w * 1000.0)
-        assert narrow.w == pytest.approx(anchors.boxes[1].w / 1000.0)
+        assert wide.w == pytest.approx(anchors.array[0, 2] * 1000.0)
+        assert narrow.w == pytest.approx(anchors.array[1, 2] / 1000.0)

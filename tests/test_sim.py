@@ -108,7 +108,7 @@ class TestLidar:
     def test_points_on_footprint_perimeter(self):
         scene = single_vehicle_scene(8.0, 0.0, theta=0.4)
         cfg = small_config(duration=1)
-        frame = simulate_lidar(scene, 0, cfg)
+        frame, _counts = simulate_lidar(scene, 0, cfg)
         box = scene.vehicles[0].box_at(0)
         c, s = math.cos(box.theta), math.sin(box.theta)
         for x, y, _z in frame.points:
@@ -121,7 +121,7 @@ class TestLidar:
     def test_z_within_span(self):
         scene = single_vehicle_scene(6.0, 1.0)
         cfg = small_config(duration=1, z_span=(0.2, 1.4))
-        frame = simulate_lidar(scene, 0, cfg)
+        frame, _counts = simulate_lidar(scene, 0, cfg)
         assert len(frame.points) > 0
         assert (frame.points[:, 2] >= 0.2).all() and (frame.points[:, 2] <= 1.4).all()
 
@@ -133,21 +133,21 @@ class TestLidar:
             n = 0
             for seed in range(30):
                 scene = single_vehicle_scene(d, 0.0)
-                frame = simulate_lidar(scene, 0, small_config(seed=seed, duration=1, base_density=12.0))
+                frame, _counts = simulate_lidar(scene, 0, small_config(seed=seed, duration=1, base_density=12.0))
                 n += len(frame.points)
             counts.append(n / 30)
         assert counts[0] / counts[1] == pytest.approx(4.0, rel=0.25)
 
     def test_beyond_sensor_range_unseen(self):
         scene = single_vehicle_scene(100.0, 0.0)
-        frame = simulate_lidar(scene, 0, small_config(duration=1))
+        frame, _counts = simulate_lidar(scene, 0, small_config(duration=1))
         assert len(frame.points) == 0
 
     def test_occlusion_blocks_rear_vehicle(self):
         near = Vehicle(track_id=0, width=3.0, length=3.0, poses={0: (6.0, 0.0, 0.0)})
         far = Vehicle(track_id=1, width=3.0, length=3.0, poses={0: (12.0, 0.0, 0.0)})
         scene = Scene(duration=1, frame_interval=0.1, ego=[Pose(0, 0, 0)], vehicles=[near, far])
-        _frame, counts = simulate_lidar(scene, 0, small_config(duration=1), return_counts=True)
+        _frame, counts = simulate_lidar(scene, 0, small_config(duration=1))
         assert counts.get(0, 0) > 0
         # the far vehicle sits directly behind the near one
         assert counts.get(1, 0) < counts[0] * 0.25
@@ -155,15 +155,15 @@ class TestLidar:
     def test_deterministic_per_frame(self):
         scene = single_vehicle_scene(8.0, 2.0, duration=3, speed=2.0)
         cfg = small_config(duration=3, dropout=0.1)
-        a = simulate_lidar(scene, 1, cfg)
-        b = simulate_lidar(scene, 1, cfg)
+        a, _ = simulate_lidar(scene, 1, cfg)
+        b, _ = simulate_lidar(scene, 1, cfg)
         assert np.array_equal(a.points, b.points)
 
     def test_frames_decorrelated(self):
         scene = single_vehicle_scene(8.0, 2.0, duration=2)
         cfg = small_config(duration=2)
-        a = simulate_lidar(scene, 0, cfg)
-        b = simulate_lidar(scene, 1, cfg)
+        a, _ = simulate_lidar(scene, 0, cfg)
+        b, _ = simulate_lidar(scene, 1, cfg)
         assert a.points.shape != b.points.shape or not np.array_equal(a.points, b.points)
 
     def test_invalid_frame_rejected(self):
@@ -175,7 +175,7 @@ class TestLidar:
         # ego yawed 90 degrees: a vehicle straight ahead in world +x appears at -y
         v = Vehicle(track_id=0, width=2.0, length=4.0, poses={0: (8.0, 0.0, 0.0)})
         scene = Scene(duration=1, frame_interval=0.1, ego=[Pose(0, 0, math.pi / 2)], vehicles=[v])
-        frame = simulate_lidar(scene, 0, small_config(duration=1))
+        frame, _counts = simulate_lidar(scene, 0, small_config(duration=1))
         assert len(frame.points) > 0
         assert (frame.points[:, 1] < 0).all()
 
@@ -254,7 +254,7 @@ class TestDatasetIo:
         scene = generate_scene(cfg)
         ds = build_dataset(scene, cfg)
         for t in range(ds.duration):
-            _frame, counts = simulate_lidar(scene, t, cfg, return_counts=True)
+            _frame, counts = simulate_lidar(scene, t, cfg)
             for lab in ds.labels[t]:
                 assert lab.num_points == counts.get(lab.track_id, 0)
 
@@ -296,13 +296,6 @@ class TestSamples:
             for obj in sample.objects:
                 world = box_ego_to_world(obj.boxes[0], pose)
                 assert world.cx == pytest.approx(labs[obj.track_id].box.cx)
-
-    def test_min_points_filter(self):
-        ds = generate_dataset(small_config(seed=8, duration=3))
-        all_s, _ = make_samples(ds, self.grid, n_in=1, n_out=1, min_points=0)
-        few_s, _ = make_samples(ds, self.grid, n_in=1, n_out=1, min_points=10 ** 6)
-        assert sum(len(s.objects) for s in few_s) == 0
-        assert sum(len(s.objects) for s in all_s) > 0
 
     def test_future_none_when_track_ends(self):
         ds = generate_dataset(small_config(seed=6, duration=4))

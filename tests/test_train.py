@@ -5,7 +5,7 @@ import pytest
 
 from bevtrack import tensor as T
 from bevtrack.geom import RotatedBox, iou
-from bevtrack.net import Model, ModelConfig, build_anchors, encode_box
+from bevtrack.net import Model, ModelConfig, build_anchors
 from bevtrack.sim import GtObject, Sample
 from bevtrack.train import (
     TrainConfig,
@@ -17,6 +17,7 @@ from bevtrack.train import (
     train,
 )
 from bevtrack.voxel import GridSpec
+from oracles import scalar_encode_box
 
 
 MICRO_GRID = GridSpec((-1.6, 1.6), (-1.6, 1.6), (0.0, 0.4), 0.2)  # 16x16, Z=2
@@ -37,8 +38,8 @@ class TestAssign:
     def test_empty_scene_all_background(self):
         a = assign_targets(self.anchors, [], n_out=1)
         assert a.labels.sum() == 0
-        assert (a.matched_gt == -1).all()
         assert a.valid.sum() == 0
+        assert (a.targets == 0.0).all()
 
     def test_overlapping_gt_marks_positives(self):
         gt = GtObject(track_id=0, boxes=[RotatedBox(0.0, 0.0, 5.0, 5.0, 0.0)])
@@ -47,7 +48,7 @@ class TestAssign:
         # every positive anchor really overlaps above threshold, except any
         # force-assigned argmax anchor
         flat_labels = a.labels.reshape(-1)
-        ious = np.array([iou(b, gt.boxes[0]) for b in self.anchors.boxes])
+        ious = np.array([iou(RotatedBox(*b), gt.boxes[0]) for b in self.anchors.array.tolist()])
         forced = ious.argmax()
         for i in np.flatnonzero(flat_labels):
             assert ious[i] > 0.4 or i == forced
@@ -57,17 +58,33 @@ class TestAssign:
         gt = GtObject(track_id=3, boxes=[RotatedBox(0.1, 0.1, 0.5, 0.5, 0.0)])
         a = assign_targets(self.anchors, [gt], n_out=1)
         assert a.labels.sum() == 1
-        ious = np.array([iou(b, gt.boxes[0]) for b in self.anchors.boxes])
+        ious = np.array([iou(RotatedBox(*b), gt.boxes[0]) for b in self.anchors.array.tolist()])
         assert a.labels.reshape(-1)[ious.argmax()] == 1.0
 
     def test_targets_match_direct_encoding(self):
-        gt = GtObject(track_id=0, boxes=[RotatedBox(0.2, -0.3, 5.0, 5.0, 0.1)])
-        a = assign_targets(self.anchors, [gt], n_out=1)
+        # the second track ends inside the horizon: its last timestamp has no box
+        gts = [
+            GtObject(track_id=0, boxes=[RotatedBox(0.2, -0.3, 5.0, 5.0, 0.1), RotatedBox(0.4, -0.2, 5.0, 5.0, 0.2),
+                                        RotatedBox(0.6, -0.1, 5.0, 5.0, 0.3)]),
+            GtObject(track_id=1, boxes=[RotatedBox(-0.9, 1.0, 1.0, 2.0, -2.0), RotatedBox(-0.8, 1.1, 1.0, 2.0, -2.1)]),
+        ]
+        a = assign_targets(self.anchors, gts, n_out=3)
+        assert np.isfinite(a.targets).all()
+        assert (a.targets[np.broadcast_to((a.valid == 0.0)[:, :, None], a.targets.shape)] == 0.0).all()
         flat = a.labels.reshape(-1)
-        tflat = a.targets.transpose(0, 3, 4, 1, 2).reshape(-1, 1, 6)
+        tflat = a.targets.transpose(0, 3, 4, 1, 2).reshape(-1, 3, 6)
+        vflat = a.valid.transpose(0, 2, 3, 1).reshape(-1, 3)
         for i in np.flatnonzero(flat):
-            expect = encode_box(self.anchors.boxes[i], gt.boxes[0])
-            np.testing.assert_allclose(tflat[i, 0], expect, atol=1e-12)
+            anchor = RotatedBox(*self.anchors.array[i].tolist())
+            # the matched track is the one whose current box encodes to the anchor's first target
+            (gt,) = [g for g in gts if scalar_encode_box(anchor, g.boxes[0]).tolist() == tflat[i, 0].tolist()]
+            for t in range(3):
+                if t < len(gt.boxes):
+                    assert vflat[i, t] == 1.0
+                    assert tflat[i, t].tolist() == scalar_encode_box(anchor, gt.boxes[t]).tolist()
+                else:
+                    assert vflat[i, t] == 0.0
+        assert vflat[:, 2].sum() < vflat[:, 1].sum() == flat.sum()
 
     def test_future_box_absent_marks_invalid(self):
         gt = GtObject(track_id=0, boxes=[RotatedBox(0, 0, 5, 5, 0), None])

@@ -14,7 +14,7 @@ import numpy as np
 from . import __version__
 from . import tensor as T
 from .config import ConfigError, from_dict, to_dict
-from .geom import RotatedBox
+from .geom import to_local
 from .metrics import EvalConfig, write_report
 from .net import Model, ModelConfig, build_anchors, init_params
 from .pipeline import (
@@ -301,8 +301,7 @@ def cmd_render(config: RunConfig, dataset_path, tracklets_path, out_dir):
             for h in range(horizon):
                 c = track_centers.get(r.track_id, {}).get(t + h)
                 if c is not None:
-                    dot = box_world_to_ego(RotatedBox(c[0], c[1], 0.1, 0.1, 0.0), pose)
-                    _plot(img, dot.cx, dot.cy, color, grid, size=1)
+                    _plot(img, *to_local(*c, pose.tx, pose.ty, pose.yaw), color, grid, size=1)
         _write_ppm(os.path.join(out_dir, f"frame_{t:04d}.ppm"), img)
     return 0
 

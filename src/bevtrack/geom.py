@@ -1,4 +1,4 @@
-"""Rotated rectangles in the BEV plane: corners, clipping, IoU and NMS.
+"""Rotated rectangles in the BEV plane: the planar frame map, corners, clipping, IoU and NMS.
 
 Box sets are ``[..., 5]`` arrays of (cx, cy, w, h, theta); ``iou`` broadcasts
 over them and clips only the pairs whose bounding circles meet.
@@ -25,6 +25,23 @@ def wrap_angle(theta):
     elif t > math.pi:
         t -= 2.0 * math.pi
     return t
+
+
+def to_local(x, y, ox, oy, heading):
+    """Coordinates of the point (x, y) in the frame with origin (ox, oy) turned by ``heading``.
+
+    Floats or arrays. Inverse of :func:`to_global`; every ego<->world and
+    box-frame map in the package goes through this pair.
+    """
+    c, s = math.cos(heading), math.sin(heading)
+    dx, dy = x - ox, y - oy
+    return c * dx + s * dy, -s * dx + c * dy
+
+
+def to_global(x, y, ox, oy, heading):
+    """The point given in the frame with origin (ox, oy) turned by ``heading``, in the outer frame."""
+    c, s = math.cos(heading), math.sin(heading)
+    return c * x - s * y + ox, s * x + c * y + oy
 
 
 @dataclass(frozen=True)

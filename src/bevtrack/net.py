@@ -137,7 +137,6 @@ class HeadOutput:
 class Detection:
     score: float
     boxes: list  # RotatedBox for the current frame and each future timestamp
-    anchor_index: int = -1
 
 
 @dataclass
@@ -176,6 +175,8 @@ def encode_boxes(anchors, gts):
 def decode_boxes(anchors, codes):
     """Inverse of :func:`encode_boxes` over ``[..., 5]`` anchor rows and ``[..., 6]`` codes.
 
+    The leading axes of anchors and codes broadcast, as in :func:`encode_boxes`.
+
     Returns a ``[..., 5]`` box array; sizes decode first, then offsets. Size
     codes are clamped to +-MAX_SIZE_CODE so no side overflows or vanishes.
     exp and atan2 run through ``math`` value by value: numpy's differ from
@@ -183,6 +184,8 @@ def decode_boxes(anchors, codes):
     """
     anchors = np.asarray(anchors, dtype=np.float64)
     codes = np.asarray(codes, dtype=np.float64)
+    lead = np.broadcast_shapes(anchors.shape[:-1], codes.shape[:-1])
+    anchors, codes = np.broadcast_to(anchors, lead + (5,)), np.broadcast_to(codes, lead + (CODE_SIZE,))
     sizes = np.clip(codes[..., 2:4], -MAX_SIZE_CODE, MAX_SIZE_CODE)
     scale = _by_value(math.exp, -sizes)
     w = anchors[..., 2] * scale[..., 0]
@@ -323,6 +326,6 @@ def decode(output: HeadOutput, anchors: AnchorGrid, frame=0, score_thr=0.5, nms_
     kept = nms(decode_boxes(anchors.array[idx], codes[:, 0]), flat_scores[idx], nms_thr)
     boxes = decode_boxes(anchors.array[idx[kept], None], codes[kept]).tolist()
     return DetectionSet(frame=frame, detections=[
-        Detection(score=float(flat_scores[idx[n]]), boxes=[RotatedBox(*b) for b in rows], anchor_index=int(idx[n]))
+        Detection(score=float(flat_scores[idx[n]]), boxes=[RotatedBox(*b) for b in rows])
         for n, rows in zip(kept, boxes)
     ])

@@ -92,9 +92,9 @@ def evaluate_tracking(detection_sets, dataset: Dataset, n_out, eval_cfg: EvalCon
     }, decoded, baseline
 
 
-def evaluate_forecast(detection_sets, dataset: Dataset, eval_cfg: EvalConfig, min_points=None):
+def evaluate_forecast(detection_sets, dataset: Dataset, eval_cfg: EvalConfig):
     world = detections_to_world(detection_sets, dataset)
-    gt = gt_tracks_world(dataset, frames=None, min_points=min_points)
+    gt = gt_tracks_world(dataset)
     return forecast_error(world, gt, eval_cfg.forecast_horizons, eval_cfg.forecast_match_iou)
 
 
@@ -107,20 +107,17 @@ ABLATION_VARIANTS = (
 )
 
 
-def tracklets_to_detections(records, dataset: Dataset):
-    """Aggregated tracklet boxes re-expressed as per-frame ego detections."""
-    by_frame = {}
+def tracklets_to_detections(records, frames, dataset: Dataset):
+    """Aggregated tracklet boxes re-expressed as ego detections, one DetectionSet per frame.
+
+    A frame of ``frames`` where no record was emitted gets an empty set, so
+    its vehicles still count as missed.
+    """
+    sets = {f: DetectionSet(frame=f) for f in frames}
     for r in records:
-        by_frame.setdefault(r.frame, []).append(r)
-    sets = []
-    for f in sorted(by_frame):
-        pose = dataset.frames[f].pose
-        dets = [
-            Detection(score=r.score, boxes=[box_world_to_ego(r.box, pose)])
-            for r in by_frame[f]
-        ]
-        sets.append(DetectionSet(frame=f, detections=dets))
-    return sets
+        box = box_world_to_ego(r.box, dataset.frames[r.frame].pose)
+        sets[r.frame].detections.append(Detection(score=r.score, boxes=[box]))
+    return list(sets.values())
 
 
 def run_ablation(model_cfg: ModelConfig, train_cfg: TrainConfig, eval_cfg: EvalConfig, seed,
@@ -139,7 +136,7 @@ def run_ablation(model_cfg: ModelConfig, train_cfg: TrainConfig, eval_cfg: EvalC
         )
         if with_tracking:
             decoded = decode_tracklets(detections_to_world(sets, val), mcfg.n_out)
-            sets = tracklets_to_detections(decoded, val)
+            sets = tracklets_to_detections(decoded, [s.frame for s in sets], val)
         report = evaluate_detection(sets, val, eval_cfg)
         rows.append({"variant": name, "ap_by_iou": report["ap_by_iou"]})
     return rows

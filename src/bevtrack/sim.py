@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import from_dict, to_dict
-from .geom import RotatedBox, iou, wrap_angle
+from .geom import RotatedBox, iou, to_global, to_local, wrap_angle
 from .voxel import GridSpec, LidarFrame, Pose, stack_temporal
 
 DATASET_VERSION = 1
@@ -123,11 +123,8 @@ def generate_scene(config: SimConfig):
 
 
 def _box_point_distance(box: RotatedBox, px, py):
-    c, s = math.cos(box.theta), math.sin(box.theta)
-    dx, dy = px - box.cx, py - box.cy
-    lon = abs(c * dx + s * dy) - box.h / 2.0
-    lat = abs(-s * dx + c * dy) - box.w / 2.0
-    return math.hypot(max(lon, 0.0), max(lat, 0.0))
+    lon, lat = to_local(px, py, box.cx, box.cy, box.theta)
+    return math.hypot(max(abs(lon) - box.h / 2.0, 0.0), max(abs(lat) - box.w / 2.0, 0.0))
 
 
 def _clears_ego(candidate: Vehicle, ego_poses, clearance):
@@ -155,14 +152,8 @@ def _overlap_free(candidate: Vehicle, others):
 
 def _segment_hits_box(px, py, qx, qy, box: RotatedBox):
     """True when the open segment p->q passes through the box interior."""
-    c, s = math.cos(box.theta), math.sin(box.theta)
-
-    def to_local(x, y):
-        dx, dy = x - box.cx, y - box.cy
-        return c * dx + s * dy, -s * dx + c * dy
-
-    x0, y0 = to_local(px, py)
-    x1, y1 = to_local(qx, qy)
+    x0, y0 = to_local(px, py, box.cx, box.cy, box.theta)
+    x1, y1 = to_local(qx, qy, box.cx, box.cy, box.theta)
     dx, dy = x1 - x0, y1 - y0
     t0, t1 = 0.0, 1.0 - 1e-9  # exclude the endpoint itself
     for p, q in ((-dx, x0 + box.h / 2), (dx, box.h / 2 - x0), (-dy, y0 + box.w / 2), (dy, box.w / 2 - y0)):
@@ -233,16 +224,9 @@ def simulate_lidar(scene: Scene, t, config: SimConfig):
     counts = {}
     for o in owners:
         counts[o] = counts.get(o, 0) + 1
-    if pts_world:
-        pw = np.asarray(pts_world)
-        c, s = math.cos(ego.yaw), math.sin(ego.yaw)
-        dx = pw[:, 0] - ego.tx
-        dy = pw[:, 1] - ego.ty
-        pts = np.column_stack([c * dx + s * dy, -s * dx + c * dy, pw[:, 2]])
-    else:
-        pts = np.zeros((0, 3))
-    frame = LidarFrame(points=pts, pose=ego, timestamp=t)
-    return frame, counts
+    pw = np.reshape(pts_world, (-1, 3))
+    x, y = to_local(pw[:, 0], pw[:, 1], ego.tx, ego.ty, ego.yaw)
+    return LidarFrame(points=np.column_stack([x, y, pw[:, 2]]), pose=ego, timestamp=t), counts
 
 
 # ---------------------------------------------------------------------------
@@ -401,20 +385,11 @@ def import_dataset(path):
 
 
 def box_world_to_ego(box: RotatedBox, pose: Pose):
-    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
-    dx, dy = box.cx - pose.tx, box.cy - pose.ty
-    return RotatedBox(c * dx + s * dy, -s * dx + c * dy, box.w, box.h, box.theta - pose.yaw)
+    return RotatedBox(*to_local(box.cx, box.cy, pose.tx, pose.ty, pose.yaw), box.w, box.h, box.theta - pose.yaw)
 
 
 def box_ego_to_world(box: RotatedBox, pose: Pose):
-    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
-    return RotatedBox(
-        c * box.cx - s * box.cy + pose.tx,
-        s * box.cx + c * box.cy + pose.ty,
-        box.w,
-        box.h,
-        box.theta + pose.yaw,
-    )
+    return RotatedBox(*to_global(box.cx, box.cy, pose.tx, pose.ty, pose.yaw), box.w, box.h, box.theta + pose.yaw)
 
 
 @dataclass
@@ -440,27 +415,22 @@ class Sample:
 def make_samples(dataset: Dataset, grid: GridSpec, n_in, n_out):
     """Training samples for every frame with full history.
 
-    Ground-truth boxes (current and future) are expressed in the sample's
-    current ego frame; future boxes of vanished tracks are left as None.
+    Ground-truth boxes (current and future) are read by track and expressed
+    in the sample's current ego frame; future boxes of vanished tracks are
+    left as None.
     """
+    tracks = sorted(gt_tracks_world(dataset).items())
     samples = []
     sample_frames = []
     for t in range(n_in - 1, dataset.duration):
         history = dataset.frames[t - n_in + 1 : t + 1]
         inp = stack_temporal(history, grid, n_expected=n_in)
         pose = dataset.frames[t].pose
-        by_id = {
-            lab.track_id: lab for lab in dataset.labels.get(t, [])
-        }
-        objects = []
-        for tid, lab in sorted(by_id.items()):
-            boxes = [box_world_to_ego(lab.box, pose)]
-            for h in range(1, n_out):
-                fut = next(
-                    (l for l in dataset.labels.get(t + h, []) if l.track_id == tid), None
-                )
-                boxes.append(box_world_to_ego(fut.box, pose) if fut is not None else None)
-            objects.append(GtObject(track_id=tid, boxes=boxes))
+        objects = [
+            GtObject(tid, [box_world_to_ego(track[t + h], pose) if t + h in track else None for h in range(n_out)])
+            for tid, track in tracks
+            if t in track
+        ]
         samples.append(Sample(occupancy=inp.occupancy, objects=objects))
         sample_frames.append(t)
     return samples, sample_frames

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import wrap_angle
+from .geom import to_global, to_local, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -86,20 +86,9 @@ def transform_to_current(frame: LidarFrame, current_pose: Pose):
 
     z is untouched: ego motion is modeled as planar.
     """
-    pts = frame.points
-    if pts.shape[0] == 0:
-        return pts.copy()
-    cf, sf = math.cos(frame.pose.yaw), math.sin(frame.pose.yaw)
-    wx = cf * pts[:, 0] - sf * pts[:, 1] + frame.pose.tx
-    wy = sf * pts[:, 0] + cf * pts[:, 1] + frame.pose.ty
-    cc, sc = math.cos(current_pose.yaw), math.sin(current_pose.yaw)
-    dx = wx - current_pose.tx
-    dy = wy - current_pose.ty
-    out = np.empty_like(pts)
-    out[:, 0] = cc * dx + sc * dy
-    out[:, 1] = -sc * dx + cc * dy
-    out[:, 2] = pts[:, 2]
-    return out
+    pts, p, c = frame.points, frame.pose, current_pose
+    x, y = to_local(*to_global(pts[:, 0], pts[:, 1], p.tx, p.ty, p.yaw), c.tx, c.ty, c.yaw)
+    return np.column_stack([x, y, pts[:, 2]])
 
 
 def voxelize(points, spec: GridSpec):

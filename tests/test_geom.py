@@ -12,6 +12,8 @@ from bevtrack.geom import (
     iou,
     nms,
     polygon_area,
+    to_global,
+    to_local,
     wrap_angle,
 )
 from bevtrack.net import MAX_SIZE_CODE, decode_boxes
@@ -27,6 +29,31 @@ def random_box(rng, span=10.0):
         h=rng.uniform(0.5, 6.0),
         theta=rng.uniform(-math.pi, math.pi),
     )
+
+
+metres = st.floats(-100.0, 100.0)
+poses = st.tuples(metres, metres, st.floats(-10.0, 10.0))
+
+
+class TestFrameMap:
+    @given(poses, st.lists(st.tuples(metres, metres), max_size=8))
+    def test_arrays_match_floats_and_round_trip(self, pose, points):
+        xy = np.reshape(points, (-1, 2))
+        for fn in (to_local, to_global):
+            x, y = fn(xy[:, 0], xy[:, 1], *pose)
+            assert x.shape == y.shape == (len(points),)
+            assert list(zip(x.tolist(), y.tolist())) == [fn(px, py, *pose) for px, py in points]
+        back = np.column_stack(to_global(*to_local(xy[:, 0], xy[:, 1], *pose), *pose))
+        assert np.abs(back - xy).max(initial=0.0) <= 1e-12
+
+    def test_empty_arrays(self):
+        for fn in (to_local, to_global):
+            x, y = fn(np.zeros(0), np.zeros(0), 1.0, -2.0, 0.3)
+            assert x.shape == y.shape == (0,)
+
+    def test_quarter_turn(self):
+        assert to_local(1.0, 3.0, 1.0, 1.0, math.pi / 2) == pytest.approx((2.0, 0.0))
+        assert to_global(2.0, 0.0, 1.0, 1.0, math.pi / 2) == pytest.approx((1.0, 3.0))
 
 
 class TestCorners:

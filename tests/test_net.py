@@ -176,6 +176,38 @@ class TestEncodeMatchesScalarOracle:
         assert encode_boxes([0, 0, 5, 5, 0], np.zeros((0, 5))).shape == (0, CODE_SIZE)
 
 
+class TestDecodeBroadcasts:
+    """decode_boxes broadcasts the leading axes of anchors and codes, box for box the scalar oracle."""
+
+    def assert_matches(self, anchors, codes):
+        got = decode_boxes(anchors, codes)
+        lead = np.broadcast_shapes(anchors.shape[:-1], codes.shape[:-1])
+        a = np.broadcast_to(anchors, lead + (5,)).reshape(-1, 5).tolist()
+        c = np.broadcast_to(codes, lead + (CODE_SIZE,)).reshape(-1, CODE_SIZE)
+        assert got.shape == lead + (5,)
+        assert [RotatedBox(*r) for r in got.reshape(-1, 5).tolist()] == [
+            scalar_decode_box(RotatedBox(*x), y) for x, y in zip(a, c)
+        ]
+
+    @staticmethod
+    def draw(rng, n):
+        anchors = np.column_stack([rng.uniform(-20, 20, (2, n)).T, rng.uniform(1, 8, (2, n)).T, np.zeros(n)])
+        return anchors, rng.normal(0.0, 0.5, (n, CODE_SIZE))
+
+    def test_anchor_rows_against_one_code(self):
+        anchors, codes = self.draw(np.random.default_rng(1), 4)
+        self.assert_matches(anchors, codes[0])
+
+    def test_one_anchor_against_code_rows(self):
+        anchors, codes = self.draw(np.random.default_rng(2), 4)
+        self.assert_matches(anchors[0], codes)
+
+    def test_outer_product(self):
+        anchors, codes = self.draw(np.random.default_rng(3), 3)
+        # the last code's size entries reach past +-MAX_SIZE_CODE and clamp
+        self.assert_matches(anchors[:, None], np.concatenate([codes, codes[:1] * 40.0])[None])
+
+
 class TestForward:
     def test_output_shapes(self):
         for fusion in ("early", "late"):
@@ -340,10 +372,10 @@ class TestDecode:
             k, i, j = np.unravel_index(idx, anchors.shape)
             anchor = RotatedBox(*anchors.array[idx].tolist())
             boxes = [scalar_decode_box(anchor, reg[k, t, :, i, j]) for t in range(3)]
-            candidates.append((int(idx), float(cls.reshape(-1)[idx]), boxes))
-        kept = greedy_nms([(boxes[0], score) for _idx, score, boxes in candidates], 0.2)
+            candidates.append((float(cls.reshape(-1)[idx]), boxes))
+        kept = greedy_nms([(boxes[0], score) for score, boxes in candidates], 0.2)
         assert len(kept) > 1 and out.frame == 7
-        assert [(d.anchor_index, d.score, d.boxes) for d in out.detections] == [candidates[n] for n in kept]
+        assert [(d.score, d.boxes) for d in out.detections] == [candidates[n] for n in kept]
 
     def test_invalid_threshold_rejected(self):
         cfg = micro_config()
@@ -364,7 +396,7 @@ class TestDecode:
             cls[0, i, j] = 0.9
             reg[0, 0, :, i, j] = code
         out = decode(HeadOutput(cls=cls, reg=reg), anchors, score_thr=0.5, nms_thr=1.0)
-        assert sorted(d.anchor_index for d in out.detections) == [0, 1]
+        assert len(out.detections) == 2
         wide, narrow = sorted((d.boxes[0] for d in out.detections), key=lambda b: -b.w)
         assert wide.w == pytest.approx(anchors.array[0, 2] * 1000.0)
         assert narrow.w == pytest.approx(anchors.array[1, 2] / 1000.0)

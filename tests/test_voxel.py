@@ -34,6 +34,10 @@ class TestTransform:
         out = transform_to_current(f, Pose(2, -1, -0.8))
         assert out[0, 2] == -1.3
 
+    def test_empty_frame(self):
+        out = transform_to_current(frame(np.zeros((0, 3)), pose=Pose(1, 2, 0.3)), Pose(-1, 0, 1.2))
+        assert out.shape == (0, 3)
+
 
 class TestVoxelize:
     def test_empty_cloud(self):

@@ -129,7 +129,8 @@ class BoxSet:
     wrapped as RotatedBox wraps them. Indexing selects boxes over the leading
     axes, like the array, and shares what was computed. ``data`` holds each
     box's five numbers, radius, area and its index into the ``rows`` and
-    ``corners`` lists, which the scalar clipping of :func:`iou` reads.
+    ``corners`` tuples, which the scalar clipping of :func:`iou` reads.
+    Tuples of floats, unlike lists, drop out of the cyclic GC's scans.
     """
 
     def __init__(self, boxes):
@@ -145,17 +146,18 @@ class BoxSet:
         flat = arr.reshape(-1, 5)
         t = np.fmod(flat[:, 4], 2.0 * math.pi)  # wrap_angle, elementwise
         flat[:, 4] = np.where(t <= -math.pi, t + 2.0 * math.pi, np.where(t > math.pi, t - 2.0 * math.pi, t))
-        self.rows = flat.tolist()
+        self.rows = tuple(map(tuple, flat.tolist()))
         # math, not numpy, so radii and corners are bitwise those of RotatedBox
         trig = np.array([(0.5 * math.hypot(w, h), math.cos(th), math.sin(th)) for _, _, w, h, th in self.rows])
         radius, c, s = trig.reshape(-1, 3).T
         cx, cy, w, h, _theta = flat.T
         ux, uy = c * h / 2.0, s * h / 2.0  # longitudinal half axis
         vx, vy = -s * w / 2.0, c * w / 2.0  # lateral half axis
-        self.corners = np.stack([
+        corners = np.stack([
             cx + ux + vx, cy + uy + vy, cx - ux + vx, cy - uy + vy,
             cx - ux - vx, cy - uy - vy, cx + ux - vx, cy + uy - vy,
-        ], axis=-1).reshape(-1, 4, 2).tolist()
+        ], axis=-1).tolist()
+        self.corners = tuple(tuple(zip(c[0::2], c[1::2])) for c in corners)
         index = np.arange(len(flat))
         self.data = np.column_stack([flat, radius, w * h, index]).reshape(arr.shape[:-1] + (8,))
 

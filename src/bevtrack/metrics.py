@@ -316,30 +316,37 @@ def forecast_error(detection_sets, gt_tracks, horizons, match_iou=0.5):
         gts = [(gid, track[f]) for gid, track in gt_tracks.items() if f in track]
         gt_total += len(gts)
         dets = sorted(ds.detections, key=lambda d: -d.score)
-        ious = iou(BoxSet([d.boxes[0] for d in dets])[:, None], [gbox for _gid, gbox in gts])
+        gt_set = BoxSet([gbox for _gid, gbox in gts])
         taken = set()
-        for det, row in zip(dets, ious.tolist()):
-            best_gid, best_v = None, 0.0
-            for (gid, _gbox), v in zip(gts, row):
-                if gid in taken:
+        # IoU rows in growing chunks of detections: once every ground truth is
+        # taken, no later detection can match, so its row is never computed
+        lo, size = 0, 8
+        while lo < len(dets) and len(taken) < len(gts):
+            chunk = dets[lo : lo + size]
+            lo, size = lo + size, 2 * size
+            ious = iou(BoxSet([d.boxes[0] for d in chunk])[:, None], gt_set)
+            for det, row in zip(chunk, ious.tolist()):
+                best_gid, best_v = None, 0.0
+                for (gid, _gbox), v in zip(gts, row):
+                    if gid in taken:
+                        continue
+                    if v > best_v:
+                        best_gid, best_v = gid, v
+                if best_gid is None or best_v < match_iou:
                     continue
-                if v > best_v:
-                    best_gid, best_v = gid, v
-            if best_gid is None or best_v < match_iou:
-                continue
-            taken.add(best_gid)
-            matched_total += 1
-            track = gt_tracks[best_gid]
-            for h in horizons:
-                if h >= len(det.boxes) or (f + h) not in track:
-                    continue
-                fut = det.boxes[h]
-                gt_fut = track[f + h]
-                dx = fut.cx - gt_fut.cx
-                dy = fut.cy - gt_fut.cy
-                sums_l1[h] += abs(dx) + abs(dy)
-                sums_l2[h] += math.hypot(dx, dy)
-                counts[h] += 1
+                taken.add(best_gid)
+                matched_total += 1
+                track = gt_tracks[best_gid]
+                for h in horizons:
+                    if h >= len(det.boxes) or (f + h) not in track:
+                        continue
+                    fut = det.boxes[h]
+                    gt_fut = track[f + h]
+                    dx = fut.cx - gt_fut.cx
+                    dy = fut.cy - gt_fut.cy
+                    sums_l1[h] += abs(dx) + abs(dy)
+                    sums_l2[h] += math.hypot(dx, dy)
+                    counts[h] += 1
 
     l1 = {h: (sums_l1[h] / counts[h] if counts[h] else None) for h in horizons}
     l2 = {h: (sums_l2[h] / counts[h] if counts[h] else None) for h in horizons}

@@ -9,8 +9,11 @@ Two sibling heads predict per-anchor vehicle probability and a 6-vector
 regression code for the current frame and each future timestamp. In every
 mode the first layer runs as the one conv3d, over the occupancy (early
 fusion's kernel is the spatial kernel times the temporal weights), so its
-cost follows the occupied voxels. Every later layer is a conv2d; late
-fusion's second layer, when frames remain, collapses them with a 5D kernel.
+cost follows the occupied voxels. In training every later layer is a
+conv2d; late fusion's second layer, when frames remain, collapses them with
+a 5D kernel. Inference runs the first SPARSE_GROUPS groups on a
+``tensor.SparseField`` instead, through conv3d, so they too compute only
+the cells the occupied voxels reach.
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ from .voxel import GridSpec, InputTensor
 
 STRIDE = 8
 GROUP_SIZES = (2, 2, 3, 3)
+# Inference computes the first groups on the cells an occupied voxel reaches:
+# about 6.5% of the cells after g1 and 20% after g2 on a 48x32 m scene, but
+# 65% after g3, where little work would be skipped.
+SPARSE_GROUPS = 2
 CODE_SIZE = 6  # (l_x, l_y, s_w, s_h, a_sin, a_cos)
 MAX_SIZE_CODE = math.log(1000.0)  # decoded sides stay within 1000x of the anchor's
 
@@ -261,6 +268,11 @@ class Model:
         With a tape the returned Tensors stay differentiable for the loss;
         without one this is a plain inference pass, whose own tape is released
         so its buffers are freed as soon as the caller drops the results.
+        Inference runs the first SPARSE_GROUPS groups on a ``T.SparseField``
+        of the occupancy: each layer is its background (the network's value on
+        an empty input) plus deltas at the cells an occupied voxel reaches, and
+        only those cells are computed. After them the field is written out
+        densely. Both paths compute the same values up to rounding.
         """
         cfg = self.config
         occ = inp.occupancy
@@ -277,13 +289,17 @@ class Model:
         # [Z, T, X, Y] view of the constant input: the first layer is a conv3d
         # that reads only its occupied voxels, for every fusion mode
         x = occ.transpose(1, 0, 2, 3)
-        for name, shape, pool in _conv_specs(cfg):
+        if tape is None:
+            x = T.SparseField.of(x)
+        for name, _shape, pool in _conv_specs(cfg):
             w, b = p[f"{name}.w"], p[f"{name}.b"]
-            if name == "g1.c1":
-                if cfg.fusion == "early":
-                    w = T.temporal_kernel(w, p["temporal.w"])
-                elif len(shape) == 4:  # late fusion with n_in == 1
-                    w = T.reshape(w, (shape[0], shape[1], 1) + shape[2:])
+            if name == f"g{SPARSE_GROUPS + 1}.c1" and isinstance(x, T.SparseField):
+                x = x.dense()[:, 0]  # every frame has collapsed by now
+            if name == "g1.c1" and cfg.fusion == "early":
+                w = T.temporal_kernel(w, p["temporal.w"])
+            if isinstance(x, T.SparseField):
+                x = T.conv3d(x, w, b, spatial_pad=1)
+            elif name == "g1.c1":
                 x = T.conv3d(x, w, b, spatial_pad=1)
                 if x.shape[1] == 1:  # temporal extent collapsed
                     x = T.reshape(x, (x.shape[0], x.shape[2], x.shape[3]))

@@ -2,11 +2,14 @@
 
 Provides exactly the operators the BEV detection networks need: the one
 dense convolution (conv2d, whose 5D kernel can also collapse the frames of a
-[C,T,H,W] input), a sparse 3D convolution over a constant input that reads
-only its occupied sites (conv3d, the first layer), the early-fusion kernel,
-2x2 max-pooling, sigmoid/relu, the two loss terms, and Adam. Only operands
-recorded on the tape receive gradients. Everything is float64 and
-single-threaded; tensors are immutable values once created.
+[C,T,H,W] input), the one sparse 3D convolution (conv3d), which reads only
+the sites of a constant input (the first layer) or of a SparseField, the
+early-fusion kernel, 2x2 max-pooling, sigmoid/relu, the two loss terms, and
+Adam. A SparseField (inference only, never on a tape) holds a background
+field plus deltas at sparse sites; conv3d, relu and maxpool2d compute it
+only where the sites reach. Only operands recorded on the tape receive
+gradients. Everything is float64 and single-threaded; tensors are
+immutable values once created.
 """
 
 from __future__ import annotations
@@ -88,6 +91,8 @@ def _result_tape(*tensors):
 
 
 def _as_array(x):
+    if isinstance(x, SparseField):
+        raise TensorError("only conv3d, relu and maxpool2d take a SparseField; write it out with dense() first")
     return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
@@ -152,6 +157,8 @@ def sigmoid_array(d):
 
 
 def relu(x):
+    if isinstance(x, SparseField):
+        return _relu_field(x)
     xd = _as_array(x)
     return _node(np.maximum(xd, 0.0), (x, lambda g: (xd > 0.0) * g))
 
@@ -260,62 +267,88 @@ def conv2d(x, weights, bias, pad=0):
     )
 
 
+def _tap_cells(site, shape, kernel, pad):
+    """The rules of a sparse convolution: where each kernel tap sends the sites.
+
+    ``site`` holds the ascending flat ids of the sites of a [T,H,W] grid.
+    Padding applies to H,W only; the temporal extent shrinks by kT-1. The
+    output is laid in a frame padded wide enough that every shifted cell
+    lands inside it, so in the frame's linear ids a tap is one constant
+    offset. Returns the frame (T_out, OH, OW, hp, wp, top, left), with output
+    cell (0, 0) at (top, left), and per tap its (dt, di, dj), the slice of
+    sites whose output frame exists and their output cells in the frame; no
+    two sites of one tap share a cell.
+    """
+    t, h, w = shape
+    kt, kh, kw = kernel
+    t_out, oh, ow = t - kt + 1, h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
+    top, left = max(kh - 1 - pad, 0), max(kw - 1 - pad, 0)
+    hp, wp = top + max(oh, h + pad), left + max(ow, w + pad)
+    st, sh, sw = _coords(site, h, w)
+    first = np.searchsorted(st, np.arange(t + 1))  # sites are grouped by frame
+    cell0 = (st * hp + sh + top + pad) * wp + sw + left + pad  # the cell of tap (0, 0, 0)
+    taps = []
+    for dt in range(kt):
+        sites = slice(first[dt], first[dt + t_out])  # sites whose output frame t - dt exists
+        taps += [((dt, di, dj), sites, cell0[sites] - ((dt * hp + di) * wp + dj)) for di in range(kh) for dj in range(kw)]
+    return (t_out, oh, ow, hp, wp, top, left), taps
+
+
+def _conv3d_args(xshape, wd, bd):
+    """[C_out,C_in,kT,kH,kW] weights (a 4D kernel is kT = 1) after checking the shapes."""
+    if len(xshape) != 4:
+        raise TensorError(f"conv3d input must be [C,T,H,W], got {xshape}")
+    if wd.ndim not in (4, 5):
+        raise TensorError(f"conv3d weights must be [C_out,C_in,kT,kH,kW] or [C_out,C_in,kH,kW], got {wd.shape}")
+    w5 = wd if wd.ndim == 5 else wd[:, :, None]
+    c_out, c_in, kt, kh, kw = w5.shape
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise TensorError(f"conv3d spatial kernel extents must be odd, got {kh}x{kw}")
+    if xshape[0] != c_in:
+        raise TensorError(f"conv3d channel mismatch: input C={xshape[0]}, weights C_in={c_in}")
+    if xshape[1] < kt:
+        raise TensorError(f"conv3d needs temporal extent >= {kt}, got {xshape[1]}")
+    if bd.shape != (c_out,):
+        raise TensorError(f"conv3d bias must have shape ({c_out},), got {bd.shape}")
+    return w5
+
+
 def conv3d(x, weights, bias, spatial_pad=0):
     """Sparse spatio-temporal cross-correlation of a constant [C_in,T,H,W] input.
 
+    Weights are [C_out,C_in,kT,kH,kW], or [C_out,C_in,kH,kW] for kT = 1.
     Padding applies to H,W only; the temporal extent shrinks by kT-1. The
-    input (the occupancy) must not be on a tape, so only the weights and bias
-    get gradients; taped frames collapse through conv2d instead. The output is
-    computed from the occupied sites alone: a site is a (t, h, w) cell where
-    any channel is nonzero. Each kernel offset adds the sites' channel vectors
-    times its [C_out, C_in] weight slice at the sites' cells shifted by the
-    offset; no two sites of one offset share a cell. The sums go into an
-    output padded wide enough that every shifted cell lands inside it, and the
-    padding is cropped off. The weight gradient gathers the output gradient at
-    the same cells (gather-GEMM-scatter, as in SECOND's sparse convolution).
+    input must not be on a tape, so only the weights and bias get gradients;
+    taped frames collapse through conv2d instead. The output is computed from
+    the input's sites alone: a site is a (t, h, w) cell where any channel is
+    nonzero. Each kernel tap adds the sites' channel vectors times its
+    [C_out, C_in] weight slice at the cells the rules of :func:`_tap_cells`
+    give, and the frame's padding is cropped off. The weight gradient gathers
+    the output gradient at the same cells (gather-GEMM-scatter, as in
+    SECOND's sparse convolution).
+
+    A :class:`SparseField` input gives a SparseField output, off any tape
+    (inference only: no gradient reaches the weights through it).
     """
-    xd, wd, bd = _as_array(x), _as_array(weights), _as_array(bias)
+    wd, bd = _as_array(weights), _as_array(bias)
+    if isinstance(x, SparseField):
+        return _conv3d_field(x, _conv3d_args(x.shape, wd, bd), bd, spatial_pad)
     if isinstance(x, Tensor) and x.tape is not None:
         raise TensorError("conv3d input must be a constant, not on a tape; conv2d collapses taped frames")
-    if xd.ndim != 4:
-        raise TensorError(f"conv3d input must be [C,T,H,W], got {xd.shape}")
-    if wd.ndim != 5:
-        raise TensorError(f"conv3d weights must be [C_out,C_in,kT,kH,kW], got {wd.shape}")
-    c_out, c_in, kt, kh, kw = wd.shape
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise TensorError(f"conv3d spatial kernel extents must be odd, got {kh}x{kw}")
-    if xd.shape[0] != c_in:
-        raise TensorError(f"conv3d channel mismatch: input C={xd.shape[0]}, weights C_in={c_in}")
-    _, t, h, w = xd.shape
-    if t < kt:
-        raise TensorError(f"conv3d needs temporal extent >= {kt}, got {t}")
-    if bd.shape != (c_out,):
-        raise TensorError(f"conv3d bias must have shape ({c_out},), got {bd.shape}")
+    xd = _as_array(x)
+    w5 = _conv3d_args(xd.shape, wd, bd)
+    c_out = w5.shape[0]
     pad = spatial_pad
-    if h + 2 * pad < kh or w + 2 * pad < kw:
+    _, t, h, w = xd.shape
+    if h + 2 * pad < w5.shape[3] or w + 2 * pad < w5.shape[4]:
         raise TensorError("conv3d spatial kernel exceeds padded input")
 
-    t_out = t - kt + 1
-    oh = h + 2 * pad - kh + 1
-    ow = w + 2 * pad - kw + 1
-    top, left = max(kh - 1 - pad, 0), max(kw - 1 - pad, 0)  # output cell (0, 0) in the padded frame
-    hp, wp = top + max(oh, h + pad), left + max(ow, w + pad)
     site = np.flatnonzero(xd.any(axis=0))  # ascending, so grouped by frame
-    st, rest = np.divmod(site, h * w)
-    sh, sw = np.divmod(rest, w)
-    feats = xd[:, st, sh, sw]  # [C_in, sites]
-    first = np.searchsorted(st, np.arange(t + 1))
-    cell0 = (st * hp + sh + top + pad) * wp + sw + left + pad  # the cell of offset (0, 0, 0)
+    (t_out, oh, ow, hp, wp, top, left), taps = _tap_cells(site, (t, h, w), w5.shape[2:], pad)
+    feats = xd[(slice(None),) + _coords(site, h, w)]  # [C_in, sites]
     yp = np.zeros((c_out, t_out * hp * wp))
-    rules = []
-    for dt in range(kt):
-        lo, hi = first[dt], first[dt + t_out]  # sites whose output frame t - dt exists
-        src = feats[:, lo:hi]
-        for di in range(kh):
-            for dj in range(kw):
-                cell = cell0[lo:hi] - ((dt * hp + di) * wp + dj)
-                yp[:, cell] += wd[:, :, dt, di, dj] @ src
-                rules.append(((dt, di, dj), src, cell))
+    for offset, sites, cell in taps:
+        yp[:, cell] += w5[(slice(None), slice(None)) + offset] @ feats[:, sites]
     crop = (slice(None), slice(None), slice(top, top + oh), slice(left, left + ow))
     y = yp.reshape(c_out, t_out, hp, wp)[crop] + bd[:, None, None, None]
 
@@ -323,10 +356,10 @@ def conv3d(x, weights, bias, spatial_pad=0):
         gp = np.zeros((c_out, t_out, hp, wp))
         gp[crop] = g
         gp = gp.reshape(c_out, -1)
-        gw = np.zeros_like(wd)
-        for offset, src, cell in rules:
-            gw[(slice(None), slice(None)) + offset] = gp[:, cell] @ src.T
-        return gw
+        gw = np.zeros_like(w5)
+        for offset, sites, cell in taps:
+            gw[(slice(None), slice(None)) + offset] = gp[:, cell] @ feats[:, sites].T
+        return gw.reshape(wd.shape)
 
     return _node(y, (weights, grad_w), (bias, lambda g: g.sum(axis=(1, 2, 3))))
 
@@ -351,7 +384,12 @@ def temporal_kernel(weights, temporal):
 
 
 def maxpool2d(x):
-    """2x2 max pooling at stride 2 with floor truncation; gradient routes to the lowest-index max."""
+    """2x2 max pooling at stride 2 with floor truncation; gradient routes to the lowest-index max.
+
+    A :class:`SparseField` is pooled frame by frame, into a field.
+    """
+    if isinstance(x, SparseField):
+        return _maxpool_field(x)
     xd = _as_array(x)
     if xd.ndim != 3:
         raise TensorError(f"maxpool2d input must be [C,H,W], got {xd.shape}")
@@ -374,6 +412,155 @@ def maxpool2d(x):
         return gx
 
     return _node(y, (x, grad_x))
+
+
+# ---------------------------------------------------------------------------
+# sparse fields: a background field plus deltas at sites
+
+BACKGROUND_SIDE = 32  # most cells per side of the grid a field's background is held on
+
+
+class SparseField(Tensor):
+    """A [C,T,H,W] value held as a background field plus deltas at sparse sites.
+
+    ``data`` is [C, S]: the deltas at ``sites``, the ascending flat ids of
+    their cells in the [T,H,W] grid. Every other cell holds the background,
+    the value the same ops give an all-zero input. The background is
+    constant inside the grid and varies only within ``band`` cells of an
+    edge, so it is held on a grid of at most BACKGROUND_SIDE cells per side
+    (see :func:`_clip_map`). Each op recomputes it from its own weights, so
+    nothing is cached across calls.
+
+    conv3d, relu and maxpool2d take a field and return one, computing only
+    at the sites that an input site reaches; :meth:`dense` writes it out.
+    A field is never on a tape, and every other op rejects it.
+    """
+
+    __slots__ = ("full_shape", "sites", "background", "band")
+
+    def __init__(self, deltas, shape, sites, background, band):
+        super().__init__(deltas)
+        self.full_shape, self.sites, self.background, self.band = tuple(shape), sites, background, band
+
+    @classmethod
+    def of(cls, x):
+        """The field of a constant [C,T,H,W] array: zero background, a site wherever any channel is nonzero."""
+        xd = np.asarray(x, dtype=np.float64)
+        if xd.ndim != 4:
+            raise TensorError(f"a sparse field is [C,T,H,W], got {xd.shape}")
+        c, t, h, w = xd.shape
+        sites = np.flatnonzero(xd.any(axis=0))
+        st, sh, sw = _coords(sites, h, w)
+        background = np.zeros((c, t, min(h, BACKGROUND_SIDE), min(w, BACKGROUND_SIDE)))
+        return cls(xd[:, st, sh, sw], xd.shape, sites, background, 0)
+
+    @property
+    def shape(self):
+        return self.full_shape
+
+    def dense(self):
+        """The [C,T,H,W] array: the background everywhere, plus the deltas at the sites."""
+        c, _, h, w = self.full_shape
+        rows, cols = np.arange(h)[:, None], np.arange(w)
+        out = np.ascontiguousarray(_background_at(self.background, self.band, (h, w), slice(None), rows, cols))
+        out.reshape(c, -1)[:, self.sites] += self.data
+        return out
+
+    def __repr__(self):
+        return f"SparseField(shape={self.shape}, sites={len(self.sites)})"
+
+
+def _coords(sites, h, w):
+    """(frame, row, column) of flat ids into a [T,h,w] grid."""
+    st, rest = np.divmod(sites, h * w)
+    return (st, *np.divmod(rest, w))
+
+
+def _background_at(background, band, size, st, sh, sw):
+    """[C, N] values at N cells, by frame, row and column, of a grid of ``size`` (H, W)."""
+    m, k = background.shape[2:]
+    return background[:, st, _clip_map(size[0], m, band)[sh], _clip_map(size[1], k, band)[sw]]
+
+
+def _clip_map(n, m, band):
+    """Rows of an n-cell axis -> rows of its m-cell background grid (m <= n).
+
+    The first and last m // 2 rows keep their distance to their edge; every
+    row between them reads the middle row m // 2 - 1. That is exact while
+    the background varies only within ``band`` rows of an edge.
+    """
+    r = np.arange(n)
+    if n == m:
+        return r
+    if band > m // 2 - 1:
+        raise TensorError(f"background varies within {band} cells of an edge, more than its {m}-cell grid holds")
+    return np.where(r < m // 2, r, np.maximum(r - (n - m), m // 2 - 1))
+
+
+def _conv3d_field(x, w5, bd, pad):
+    """conv3d of a SparseField: the background's conv plus the deltas' sparse conv.
+
+    By linearity conv(B + D) = conv(B) + conv(D). conv(B) is conv2d over the
+    background's grid, with the bias; conv(D) runs the sparse rules from the
+    input sites into the cells they reach, which a dense bool mask collects
+    and a dense index map numbers. One GEMM per tap scatters into those rows;
+    a tap's cells that fall in the frame's padding go to a spare row.
+    """
+    c_out, _, kt, kh, kw = w5.shape
+    _, t, h, w = x.shape
+    (t_out, oh, ow, hp, wp, top, left), taps = _tap_cells(x.sites, (t, h, w), (kt, kh, kw), pad)
+    reached = np.zeros(t_out * hp * wp, dtype=bool)
+    for _offset, _sites, cell in taps:
+        reached[cell] = True
+    inner = (slice(None), slice(top, top + oh), slice(left, left + ow))
+    mask = reached.reshape(t_out, hp, wp)[inner]
+    out = np.flatnonzero(mask)
+    row = np.full((t_out, hp, wp), len(out))
+    row[inner][mask] = np.arange(len(out))
+    row = row.reshape(-1)
+    y = np.zeros((c_out, len(out) + 1))
+    for offset, sites, cell in taps:
+        y[:, row[cell]] += w5[(slice(None), slice(None)) + offset] @ x.data[:, sites]
+    b = x.background
+    if b.any():
+        background = np.stack([conv2d(b[:, to : to + kt], w5, bd, pad).data for to in range(t_out)], axis=1)
+    else:  # an empty input, as at the first layer, convolves to the bias alone
+        shape = (c_out, t_out, b.shape[2] + 2 * pad - kh + 1, b.shape[3] + 2 * pad - kw + 1)
+        background = np.broadcast_to(bd[:, None, None, None], shape).copy()
+    return SparseField(y[:, :-1], (c_out, t_out, oh, ow), out, background, x.band + pad)
+
+
+def _relu_field(x):
+    b = _background_at(x.background, x.band, x.shape[2:], *_coords(x.sites, *x.shape[2:]))
+    deltas = np.maximum(b + x.data, 0.0) - np.maximum(b, 0.0)
+    return SparseField(deltas, x.shape, x.sites, np.maximum(x.background, 0.0), x.band)
+
+
+def _maxpool_field(x):
+    """maxpool2d of a SparseField, frame by frame: a pooled cell is a site when a child is."""
+    c, t, h, w = x.shape
+    m, k = x.background.shape[2:]
+    if (h - m) % 2 or (w - k) % 2:
+        raise TensorError(f"maxpool2d of a {h}x{w} field whose background grid is {m}x{k}: parities differ")
+    oh, ow = h // 2, w // 2
+    st, sh, sw = _coords(x.sites, h, w)
+    kept = (sh < 2 * oh) & (sw < 2 * ow)  # floor truncation drops an odd last row or column
+    reached = np.zeros((t, oh, ow), dtype=bool)
+    reached[st[kept], sh[kept] // 2, sw[kept] // 2] = True
+    out = np.flatnonzero(reached)
+    ot, oi, oj = _coords(out, oh, ow)
+    row = np.full(t * h * w, len(x.sites))  # the delta column of each cell; a spare zero one off the sites
+    row[x.sites] = np.arange(len(x.sites))
+    deltas = np.concatenate([x.data, np.zeros((c, 1))], axis=1)
+    best = None
+    for a in (0, 1):
+        for b in (0, 1):
+            ci, cj = 2 * oi + a, 2 * oj + b
+            v = deltas[:, row[(ot * h + ci) * w + cj]] + _background_at(x.background, x.band, (h, w), ot, ci, cj)
+            best = v if best is None else np.maximum(best, v)
+    bg = x.background[:, :, : m // 2 * 2, : k // 2 * 2].reshape(c, t, m // 2, 2, k // 2, 2).max(axis=(3, 5))
+    band = (x.band + 1) // 2
+    return SparseField(best - _background_at(bg, band, (oh, ow), ot, oi, oj), (c, t, oh, ow), out, bg, band)
 
 
 # ---------------------------------------------------------------------------
@@ -493,13 +680,16 @@ def load_checkpoint(path):
             raise TensorError(f"unsupported checkpoint version {version}")
         try:
             header = json.loads(f.read(hlen).decode("utf-8"))
-            entries = [(e["name"], tuple(int(n) for n in e["shape"])) for e in header["params"]]
+            entries = [(e["name"], e["shape"]) for e in header["params"]]
             config = header.get("config")
         except (KeyError, TypeError, ValueError) as e:
             raise TensorError(f"malformed checkpoint header: {e}") from None
         left = os.fstat(f.fileno()).st_size - f.tell()
         params = {}
         for name, shape in entries:
+            if not (isinstance(shape, list) and all(type(n) is int for n in shape)):
+                raise TensorError(f"checkpoint tensor {name} has a shape that is not a list of integers: {shape!r}")
+            shape = tuple(shape)
             nbytes = 8 * math.prod(shape)  # a Python int, checked before anything is read
             if min(shape, default=0) < 0:
                 raise TensorError(f"checkpoint tensor {name} has a negative dimension in {shape}")

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bevtrack import cli
 from bevtrack import tensor as T
@@ -242,6 +244,14 @@ class TestLoadersFailClosed:
             with pytest.raises(T.TensorError, match="malformed"):
                 T.load_checkpoint(path)
 
+    @pytest.mark.parametrize("shape", ["[1e999]", "[-Infinity]", "[NaN]", "[true]", "[1.5]", '"3"', "3"])
+    def test_checkpoint_shape_of_non_integers_rejected(self, tmp_path, shape):
+        path = tmp_path / "ck.bin"
+        header = ('{"version": 1, "params": [{"name": "p", "shape": %s}], "config": null}' % shape).encode()
+        path.write_bytes(T.CHECKPOINT_MAGIC + struct.pack("<II", 1, len(header)) + header + bytes(8))
+        with pytest.raises(T.TensorError, match="integers"):
+            T.load_checkpoint(path)
+
     def test_checkpoint_params_must_fit_the_model(self, trained, capsys):
         cfg, dataset, ckpt, tmp_path = trained
         params, saved_cfg = T.load_checkpoint(ckpt)
@@ -281,6 +291,28 @@ class TestLoadersFailClosed:
         for n in sorted({0, 4, 11, 12, len(data) - 1, *rng.integers(0, len(data), 30).tolist()}):
             assert run("--config", cfg, "--out", str(tmp_path / "e"), "eval", dataset, str(cut[n])) == 1
             assert capsys.readouterr().err.startswith("error:")
+
+    @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(draw=st.data())
+    def test_byte_flipped_checkpoint_loads_finite_or_ends_in_error(self, trained, capsys, draw):
+        cfg, dataset, ckpt, tmp_path = trained
+        data = bytearray(open(ckpt, "rb").read())
+        header_end = 12 + struct.unpack("<I", data[8:12])[0]
+        where = st.one_of(st.integers(0, header_end - 1), st.integers(0, len(data) - 1))
+        for pos, mask in draw.draw(st.lists(st.tuples(where, st.integers(1, 255)), min_size=1, max_size=3)):
+            data[pos] ^= mask
+        bad = tmp_path / "flipped.bin"
+        bad.write_bytes(bytes(data))
+        try:
+            params, _cfg = T.load_checkpoint(bad)
+        except T.TensorError:
+            params = None
+        else:
+            assert all(np.isfinite(v).all() for v in params.values())
+        code = run("--config", cfg, "--out", str(tmp_path / "e"), "eval", dataset, str(bad))
+        err = capsys.readouterr().err
+        assert code in (0, 1) and (code == 0 or err.startswith("error:"))
+        assert params is not None or code == 1
 
     def test_checkpoint_of_an_impossible_shape_ends_in_error(self, trained, capsys):
         cfg, dataset, _ckpt, tmp_path = trained

@@ -24,6 +24,8 @@ from bevtrack.net import (
     HeadOutput,
     init_params,
 )
+from bevtrack.sim import SimConfig, generate_dataset, make_samples
+from bevtrack.train import TrainConfig, train
 from bevtrack.voxel import GridSpec, InputTensor
 from oracles import greedy_nms, scalar_decode_box, scalar_encode_box
 
@@ -294,9 +296,11 @@ class TestForward:
 class TestConvolutionRouting:
     LATER = ("g1.c2", "g2.c1", "g2.c2", "g3.c1", "g3.c2", "g3.c3", "g4.c1", "g4.c2", "g4.c3",
              "head.cls.c", "head.cls.p", "head.reg.c", "head.reg.p")
+    SPARSE = ("g1.c2", "g2.c1", "g2.c2")  # inference runs these on a SparseField
 
     @pytest.mark.parametrize("fusion,n_in", [("late", 5), ("late", 4), ("late", 3), ("late", 1), ("early", 5), ("early", 1)])
     def test_one_sparse_conv3d_then_conv2d_with_named_weights(self, fusion, n_in, monkeypatch):
+        """Training: one conv3d over the occupancy, then conv2d. Inference: conv3d on a SparseField through g2."""
         calls = []
 
         def spy(kind, fn):
@@ -313,11 +317,80 @@ class TestConvolutionRouting:
         for tape in (None, T.Tape()):
             calls.clear()
             model.forward(InputTensor(occ), tape=tape)
-            (kind, x, _w), *rest = calls
-            assert kind == "conv3d" and type(x) is np.ndarray
-            assert [k for k, _x, _w in rest] == ["conv2d"] * len(self.LATER)
+            # a field's background convolves as plain arrays; the layers pass their weight Tensors
+            (kind, x, _w), *rest = [(k, x, w) for k, x, w in calls if isinstance(w, T.Tensor)]
+            assert kind == "conv3d" and type(x) is (np.ndarray if tape else T.SparseField)
+            sparse = self.SPARSE if tape is None else ()
+            assert [k for k, _x, _w in rest] == ["conv3d" if label in sparse else "conv2d" for label in self.LATER]
+            assert [isinstance(x, T.SparseField) for _k, x, _w in rest] == [label in sparse for label in self.LATER]
             assert [w.name for _k, _x, w in rest] == [f"{label}.w" for label in self.LATER]
             assert all(w.shape == model.params[w.name].shape for _k, _x, w in rest)
+
+
+def assert_sparse_matches_dense(model, occ, rtol=1e-12):
+    """Untaped (sparse through g2) against taped (dense) outputs, each within rtol of its largest value."""
+    sparse = model.forward(InputTensor(occ))
+    dense = model.forward(InputTensor(occ), tape=T.Tape())
+    for got, want in zip((sparse[0].cls, sparse[0].reg, sparse[1].data), (dense[0].cls, dense[0].reg, dense[1].data)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= rtol * np.abs(want).max(), np.abs(got - want).max()
+
+
+def with_random_biases(model, seed):
+    """init_params zeroes every bias, which leaves the background field trivial."""
+    rng = np.random.default_rng(seed)
+    for name, v in model.params.items():
+        if name.endswith(".b"):
+            model.params[name] = rng.uniform(-1.0, 1.0, v.shape)
+    return model
+
+
+def edge_input(n_in, nz, nx, ny, seed):
+    """Sparse occupancy with voxels on all four edges and corners of the first and last frames."""
+    rng = np.random.default_rng(seed)
+    occ = (rng.random((n_in, nz, nx, ny)) < 0.03).astype(float)
+    for t in (0, n_in - 1):
+        for x, y in ((0, 0), (0, ny - 1), (nx - 1, 0), (nx - 1, ny - 1), (0, ny // 2), (nx - 1, 3), (nx // 3, 0), (5, ny - 1)):
+            occ[t, rng.integers(nz), x, y] = 1.0
+    return occ
+
+
+class TestSparseInference:
+    """The untaped forward runs g1 and g2 as a SparseField; the taped forward is its dense oracle."""
+
+    @pytest.mark.parametrize("fusion,n_in", [("late", 5), ("late", 4), ("late", 3), ("late", 1), ("early", 5), ("early", 1)])
+    @pytest.mark.parametrize("cells", [(16, 24), (32, 32), (48, 40), (72, 16)])  # sides below, at and above 32
+    def test_matches_dense_with_random_biases(self, fusion, n_in, cells):
+        nx, ny = cells
+        grid = GridSpec((0.0, 0.2 * nx), (0.0, 0.2 * ny), (0.0, 0.4), 0.2)
+        cfg = micro_config(grid=grid, fusion=fusion, n_in=n_in, widths=(3, 4, 3, 2))
+        model = with_random_biases(Model(cfg, seed=n_in), seed=nx)
+        for occ in (edge_input(n_in, 2, nx, ny, seed=ny), np.zeros((n_in, 2, nx, ny)), np.ones((n_in, 2, nx, ny))):
+            assert_sparse_matches_dense(model, occ)
+
+    def test_matches_dense_on_a_trained_checkpoint(self, tmp_path):
+        grid = GridSpec((-4.8, 4.8), (-4.0, 4.0), (0.0, 1.6), 0.2)  # 48 x 40 cells
+        cfg = micro_config(grid=grid, n_in=3, n_out=2, widths=(4, 4, 4, 4), head_width=4)
+        scene = SimConfig(seed=2, duration=8, n_vehicles=(2, 2), spawn_x=(-3.0, 3.0), spawn_y=(-2.5, 2.5),
+                          vehicle_width=(1.5, 2.0), vehicle_length=(3.0, 4.0), max_spawn_retries=500)
+        samples, _ = make_samples(generate_dataset(scene), grid, cfg.n_in, cfg.n_out)
+        model = Model(cfg, seed=0)
+        train(samples, model, build_anchors(cfg), TrainConfig(iterations=30, lr=1e-2, batch_size=1, seed=0))
+        T.save_checkpoint(tmp_path / "model.ckpt", model.params)
+        params, _ = T.load_checkpoint(tmp_path / "model.ckpt")
+        assert np.abs(params["g1.c2.b"]).min() > 0.0 and np.abs(params["g2.c2.b"]).min() > 0.0
+        for sample in samples:
+            assert_sparse_matches_dense(Model(cfg, params=params), sample.occupancy)
+
+    def test_empty_input_gives_the_background(self):
+        cfg = micro_config(grid=GridSpec((0.0, 9.6), (0.0, 6.4), (0.0, 0.4), 0.2), n_in=5)
+        model = with_random_biases(Model(cfg, seed=0), seed=1)
+        field = T.SparseField.of(np.zeros((2, 5, 48, 32)))
+        for name in ("g1.c1", "g1.c2"):
+            field = T.relu(T.conv3d(field, model.params[f"{name}.w"], model.params[f"{name}.b"], spatial_pad=1))
+        assert len(field.sites) == 0
+        assert field.background.shape == (2, 1, 32, 32)
+        assert_sparse_matches_dense(model, np.zeros((5, 2, 48, 32)))
 
 
 class TestDecode:

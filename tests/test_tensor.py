@@ -465,6 +465,53 @@ class TestFirstLayer:
                 assert not np.any(grad), name
 
 
+def frame_by_frame_conv3d(x, w5, b, pad):
+    """conv3d of a dense [C,T,H,W] array through conv2d, one output frame at a time."""
+    kt = w5.shape[2]
+    return np.stack([T.conv2d(x[:, to : to + kt], w5, b, pad).data for to in range(x.shape[1] - kt + 1)], axis=1)
+
+
+class TestSparseField:
+    """conv3d, relu and maxpool2d of a SparseField against the dense ops, past the 32-cell background grid."""
+
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    def test_ops_match_dense_ops(self, pad):
+        rng = np.random.default_rng(60 + pad)
+        x = rng.standard_normal((2, 4, 44, 27)) * (rng.random((2, 4, 44, 27)) < 0.003)
+        x[:, 0, [0, 0, 43, 43, 20], [0, 26, 0, 26, 0]] = 1.0  # corners and an edge
+        field, dense = T.SparseField.of(x), x
+        for i, wshape in enumerate([(3, 2, 2, 3, 3), (3, 3, 3, 3, 3), (2, 3, 3, 3)]):
+            w, b = rng.standard_normal(wshape), rng.uniform(-1.0, 1.0, wshape[0])
+            field = T.relu(T.conv3d(field, w, b, spatial_pad=pad))
+            dense = np.maximum(frame_by_frame_conv3d(dense, w if w.ndim == 5 else w[:, :, None], b, pad), 0.0)
+            assert field.shape == dense.shape
+            assert_close_relative(field.dense(), dense)
+            if i == 1:
+                field = T.maxpool2d(field)
+                c, t, h, w = dense.shape
+                dense = T.maxpool2d(dense.reshape(c * t, h, w)).data.reshape(c, t, h // 2, w // 2)
+                assert_close_relative(field.dense(), dense)
+        assert 0 < len(field.sites) < np.prod(field.shape[1:])
+
+    def test_other_ops_reject_a_field(self):
+        field = T.SparseField.of(np.ones((1, 1, 4, 4)))
+        with pytest.raises(TensorError, match="dense"):
+            T.add(field, field)
+        with pytest.raises(TensorError, match="dense"):
+            T.conv2d(field, np.ones((1, 1, 3, 3)), np.zeros(1), pad=1)
+
+    def test_background_deeper_than_its_grid_rejected(self):
+        field = T.SparseField.of(np.zeros((1, 1, 40, 40)))
+        for _ in range(16):  # each padded 3x3 convolution widens the edge band by one cell
+            field = T.conv3d(field, np.ones((1, 1, 3, 3)), np.zeros(1), spatial_pad=1)
+        with pytest.raises(TensorError, match="edge"):
+            field.dense()
+
+    def test_pool_parity_mismatch_rejected(self):
+        with pytest.raises(TensorError, match="parities"):
+            T.maxpool2d(T.SparseField.of(np.ones((1, 1, 41, 8))))
+
+
 class TestTemporalKernel:
     def test_kernel_is_outer_product(self):
         rng = np.random.default_rng(50)

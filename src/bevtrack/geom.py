@@ -63,10 +63,6 @@ class RotatedBox:
             raise ValueError(f"box sides must be positive, got w={self.w}, h={self.h}")
         object.__setattr__(self, "theta", wrap_angle(self.theta))
 
-    @property
-    def area(self):
-        return self.w * self.h
-
     def corners(self):
         """Four CCW corner points; centroid equals the box center."""
         c, s = math.cos(self.theta), math.sin(self.theta)

@@ -42,6 +42,27 @@ class SimConfig:
     ego_clearance: float = 2.0
     max_spawn_retries: int = 200
 
+    def __post_init__(self):
+        for name in ("n_vehicles", "speed", "turn_rate", "vehicle_width", "vehicle_length",
+                     "spawn_x", "spawn_y", "z_span", "ego_speed"):
+            low, high = getattr(self, name)
+            if not low <= high:
+                raise ValueError(f"{name} must be a (low, high) pair with low <= high, got {[low, high]}")
+        rules = {
+            "duration": (self.duration >= 1, ">= 1"),
+            "frame_interval": (self.frame_interval > 0.0, "positive"),
+            "n_vehicles": (self.n_vehicles[0] >= 0, ">= 0"),
+            "vehicle_width": (self.vehicle_width[0] > 0.0, "positive"),
+            "vehicle_length": (self.vehicle_length[0] > 0.0, "positive"),
+            "dropout": (0.0 <= self.dropout <= 1.0, "in [0, 1]"),
+            "static_fraction": (0.0 <= self.static_fraction <= 1.0, "in [0, 1]"),
+            "base_density": (self.base_density >= 0.0, ">= 0"),
+            "sensor_range": (self.sensor_range > 0.0, "positive"),
+        }
+        for name, (ok, rule) in rules.items():
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
+
 
 @dataclass
 class Vehicle:

@@ -2,14 +2,15 @@
 
 Provides exactly the operators the BEV detection networks need: the one
 dense convolution (conv2d, whose 5D kernel can also collapse the frames of a
-[C,T,H,W] input), the one sparse 3D convolution (conv3d), which reads only
-the sites of a constant input (the first layer) or of a SparseField, the
-early-fusion kernel, 2x2 max-pooling, sigmoid/relu, the two loss terms, and
-Adam. A SparseField (inference only, never on a tape) holds a background
-field plus deltas at sparse sites; conv3d, relu and maxpool2d compute it
-only where the sites reach. Only operands recorded on the tape receive
-gradients. Everything is float64 and single-threaded; tensors are
-immutable values once created.
+[C,T,H,W] input), the one sparse 3D convolution (conv3d), the early-fusion
+kernel, 2x2 max-pooling, relu, the two loss terms, and Adam. A SparseField
+(never on a tape) holds a background field plus deltas at sparse sites;
+conv3d, relu and maxpool2d compute it only where the sites reach. conv3d has
+one body, the field one: a constant array input (the first layer in
+training) becomes a field of its nonzero sites and the result is written
+out densely. Only operands recorded on the tape receive gradients.
+Everything is float64 and single-threaded; tensors are immutable values once
+created.
 """
 
 from __future__ import annotations
@@ -163,11 +164,6 @@ def relu(x):
     return _node(np.maximum(xd, 0.0), (x, lambda g: (xd > 0.0) * g))
 
 
-def sigmoid(x):
-    y = sigmoid_array(_as_array(x))
-    return _node(y, (x, lambda g: y * (1.0 - y) * g))
-
-
 def add(a, b):
     ad, bd = _as_array(a), _as_array(b)
     if ad.shape != bd.shape:
@@ -175,21 +171,9 @@ def add(a, b):
     return _node(ad + bd, (a, lambda g: g), (b, lambda g: g))
 
 
-def mul(a, b):
-    ad, bd = _as_array(a), _as_array(b)
-    if ad.shape != bd.shape:
-        raise TensorError(f"mul shape mismatch {ad.shape} vs {bd.shape}")
-    return _node(ad * bd, (a, lambda g: g * bd), (b, lambda g: g * ad))
-
-
 def scale(x, c):
     c = float(c)
     return _node(c * _as_array(x), (x, lambda g: c * g))
-
-
-def tensor_sum(x):
-    xd = _as_array(x)
-    return _node(np.asarray(xd.sum()), (x, lambda g: np.full_like(xd, float(g.reshape(())))))
 
 
 def reshape(x, shape):
@@ -294,74 +278,59 @@ def _tap_cells(site, shape, kernel, pad):
     return (t_out, oh, ow, hp, wp, top, left), taps
 
 
-def _conv3d_args(xshape, wd, bd):
-    """[C_out,C_in,kT,kH,kW] weights (a 4D kernel is kT = 1) after checking the shapes."""
-    if len(xshape) != 4:
-        raise TensorError(f"conv3d input must be [C,T,H,W], got {xshape}")
-    if wd.ndim not in (4, 5):
-        raise TensorError(f"conv3d weights must be [C_out,C_in,kT,kH,kW] or [C_out,C_in,kH,kW], got {wd.shape}")
-    w5 = wd if wd.ndim == 5 else wd[:, :, None]
-    c_out, c_in, kt, kh, kw = w5.shape
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise TensorError(f"conv3d spatial kernel extents must be odd, got {kh}x{kw}")
-    if xshape[0] != c_in:
-        raise TensorError(f"conv3d channel mismatch: input C={xshape[0]}, weights C_in={c_in}")
-    if xshape[1] < kt:
-        raise TensorError(f"conv3d needs temporal extent >= {kt}, got {xshape[1]}")
-    if bd.shape != (c_out,):
-        raise TensorError(f"conv3d bias must have shape ({c_out},), got {bd.shape}")
-    return w5
-
-
 def conv3d(x, weights, bias, spatial_pad=0):
     """Sparse spatio-temporal cross-correlation of a constant [C_in,T,H,W] input.
 
     Weights are [C_out,C_in,kT,kH,kW], or [C_out,C_in,kH,kW] for kT = 1.
     Padding applies to H,W only; the temporal extent shrinks by kT-1. The
     input must not be on a tape, so only the weights and bias get gradients;
-    taped frames collapse through conv2d instead. The output is computed from
-    the input's sites alone: a site is a (t, h, w) cell where any channel is
-    nonzero. Each kernel tap adds the sites' channel vectors times its
-    [C_out, C_in] weight slice at the cells the rules of :func:`_tap_cells`
-    give, and the frame's padding is cropped off. The weight gradient gathers
-    the output gradient at the same cells (gather-GEMM-scatter, as in
-    SECOND's sparse convolution).
+    taped frames collapse through conv2d instead.
 
-    A :class:`SparseField` input gives a SparseField output, off any tape
-    (inference only: no gradient reaches the weights through it).
+    The one body is the :class:`SparseField` one (:func:`_conv3d_field`). A
+    field input gives a field output, off any tape (inference only: no
+    gradient reaches the weights through it). An array input becomes
+    ``SparseField.of(x)``, whose sites are the (t, h, w) cells where any
+    channel is nonzero, and the output field is written out densely (the
+    first layer in training). The weight gradient gathers the output gradient
+    at the output field's sites and runs the same tap rules and row map
+    (gather-GEMM-scatter, as in SECOND's sparse convolution).
     """
     wd, bd = _as_array(weights), _as_array(bias)
-    if isinstance(x, SparseField):
-        return _conv3d_field(x, _conv3d_args(x.shape, wd, bd), bd, spatial_pad)
     if isinstance(x, Tensor) and x.tape is not None:
         raise TensorError("conv3d input must be a constant, not on a tape; conv2d collapses taped frames")
-    xd = _as_array(x)
-    w5 = _conv3d_args(xd.shape, wd, bd)
-    c_out = w5.shape[0]
-    pad = spatial_pad
-    _, t, h, w = xd.shape
-    if h + 2 * pad < w5.shape[3] or w + 2 * pad < w5.shape[4]:
+    xd = x if isinstance(x, SparseField) else _as_array(x)
+    if len(xd.shape) != 4:
+        raise TensorError(f"conv3d input must be [C,T,H,W], got {xd.shape}")
+    if wd.ndim not in (4, 5):
+        raise TensorError(f"conv3d weights must be [C_out,C_in,kT,kH,kW] or [C_out,C_in,kH,kW], got {wd.shape}")
+    w5 = wd if wd.ndim == 5 else wd[:, :, None]
+    c_out, c_in, kt, kh, kw = w5.shape
+    c, t, h, w = xd.shape
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise TensorError(f"conv3d spatial kernel extents must be odd, got {kh}x{kw}")
+    if c != c_in:
+        raise TensorError(f"conv3d channel mismatch: input C={c}, weights C_in={c_in}")
+    if t < kt:
+        raise TensorError(f"conv3d needs temporal extent >= {kt}, got {t}")
+    if bd.shape != (c_out,):
+        raise TensorError(f"conv3d bias must have shape ({c_out},), got {bd.shape}")
+    if h + 2 * spatial_pad < kh or w + 2 * spatial_pad < kw:
         raise TensorError("conv3d spatial kernel exceeds padded input")
-
-    site = np.flatnonzero(xd.any(axis=0))  # ascending, so grouped by frame
-    (t_out, oh, ow, hp, wp, top, left), taps = _tap_cells(site, (t, h, w), w5.shape[2:], pad)
-    feats = xd[(slice(None),) + _coords(site, h, w)]  # [C_in, sites]
-    yp = np.zeros((c_out, t_out * hp * wp))
-    for offset, sites, cell in taps:
-        yp[:, cell] += w5[(slice(None), slice(None)) + offset] @ feats[:, sites]
-    crop = (slice(None), slice(None), slice(top, top + oh), slice(left, left + ow))
-    y = yp.reshape(c_out, t_out, hp, wp)[crop] + bd[:, None, None, None]
+    field = x if isinstance(x, SparseField) else SparseField.of(xd)
+    y, row, taps = _conv3d_field(field, w5, bd, spatial_pad)
+    if field is x:
+        return y
+    feats, out_sites = field.data, y.sites  # the VJP keeps these, not the two fields
 
     def grad_w(g):
-        gp = np.zeros((c_out, t_out, hp, wp))
-        gp[crop] = g
-        gp = gp.reshape(c_out, -1)
+        # the gradient at the output sites, and a zero column for the cells in the padding
+        gs = np.concatenate([g.reshape(c_out, -1)[:, out_sites], np.zeros((c_out, 1))], axis=1)
         gw = np.zeros_like(w5)
         for offset, sites, cell in taps:
-            gw[(slice(None), slice(None)) + offset] = gp[:, cell] @ feats[:, sites].T
+            gw[(slice(None), slice(None)) + offset] = gs[:, row[cell]] @ feats[:, sites].T
         return gw.reshape(wd.shape)
 
-    return _node(y, (weights, grad_w), (bias, lambda g: g.sum(axis=(1, 2, 3))))
+    return _node(y.dense(), (weights, grad_w), (bias, lambda g: g.sum(axis=(1, 2, 3))))
 
 
 def temporal_kernel(weights, temporal):
@@ -388,16 +357,18 @@ def maxpool2d(x):
 
     A :class:`SparseField` is pooled frame by frame, into a field.
     """
-    if isinstance(x, SparseField):
-        return _maxpool_field(x)
-    xd = _as_array(x)
-    if xd.ndim != 3:
+    is_field = isinstance(x, SparseField)
+    xd = x if is_field else _as_array(x)
+    if not is_field and xd.ndim != 3:
         raise TensorError(f"maxpool2d input must be [C,H,W], got {xd.shape}")
     k = 2
-    c, h, w = xd.shape
+    h, w = xd.shape[-2:]
     oh, ow = h // k, w // k
     if oh == 0 or ow == 0:
         raise TensorError(f"maxpool2d window {k} exceeds input {h}x{w}")
+    if is_field:
+        return _maxpool_field(x)
+    c = xd.shape[0]
     trimmed = xd[:, : oh * k, : ow * k]
     win = trimmed.reshape(c, oh, k, ow, k).transpose(0, 1, 3, 2, 4).reshape(c, oh, ow, k * k)
     arg = win.argmax(axis=3)  # first occurrence == lowest flat index
@@ -461,8 +432,9 @@ class SparseField(Tensor):
     def dense(self):
         """The [C,T,H,W] array: the background everywhere, plus the deltas at the sites."""
         c, _, h, w = self.full_shape
-        rows, cols = np.arange(h)[:, None], np.arange(w)
-        out = np.ascontiguousarray(_background_at(self.background, self.band, (h, w), slice(None), rows, cols))
+        m, k = self.background.shape[2:]
+        # columns first: the row take then copies whole rows
+        out = self.background.take(_clip_map(w, k, self.band), axis=3).take(_clip_map(h, m, self.band), axis=2)
         out.reshape(c, -1)[:, self.sites] += self.data
         return out
 
@@ -505,6 +477,7 @@ def _conv3d_field(x, w5, bd, pad):
     input sites into the cells they reach, which a dense bool mask collects
     and a dense index map numbers. One GEMM per tap scatters into those rows;
     a tap's cells that fall in the frame's padding go to a spare row.
+    Returns the output field, that row map and the taps, for the VJP.
     """
     c_out, _, kt, kh, kw = w5.shape
     _, t, h, w = x.shape
@@ -527,7 +500,7 @@ def _conv3d_field(x, w5, bd, pad):
     else:  # an empty input, as at the first layer, convolves to the bias alone
         shape = (c_out, t_out, b.shape[2] + 2 * pad - kh + 1, b.shape[3] + 2 * pad - kw + 1)
         background = np.broadcast_to(bd[:, None, None, None], shape).copy()
-    return SparseField(y[:, :-1], (c_out, t_out, oh, ow), out, background, x.band + pad)
+    return SparseField(y[:, :-1], (c_out, t_out, oh, ow), out, background, x.band + pad), row, taps
 
 
 def _relu_field(x):

@@ -95,15 +95,13 @@ def voxelize(points, spec: GridSpec):
     """Binary occupancy [Z, X, Y]; out-of-range points are dropped."""
     grid = np.zeros((spec.nz, spec.nx, spec.ny))
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    if pts.shape[0] == 0:
-        return grid
-    ix = np.floor((pts[:, 0] - spec.x_range[0]) / spec.cell).astype(np.int64)
-    iy = np.floor((pts[:, 1] - spec.y_range[0]) / spec.cell).astype(np.int64)
-    iz = np.floor((pts[:, 2] - spec.z_range[0]) / spec.cell).astype(np.int64)
-    ok = (
-        (ix >= 0) & (ix < spec.nx) & (iy >= 0) & (iy < spec.ny) & (iz >= 0) & (iz < spec.nz)
-    )
-    grid[iz[ok], ix[ok], iy[ok]] = 1.0
+    with np.errstate(over="ignore"):  # a far point divides to inf, which the range test drops
+        fx = np.floor((pts[:, 0] - spec.x_range[0]) / spec.cell)
+        fy = np.floor((pts[:, 1] - spec.y_range[0]) / spec.cell)
+        fz = np.floor((pts[:, 2] - spec.z_range[0]) / spec.cell)
+    # the range test runs on floats, so only cells inside the grid reach the int64 cast
+    ok = (fx >= 0) & (fx < spec.nx) & (fy >= 0) & (fy < spec.ny) & (fz >= 0) & (fz < spec.nz)
+    grid[fz[ok].astype(np.int64), fx[ok].astype(np.int64), fy[ok].astype(np.int64)] = 1.0
     return grid
 
 

@@ -31,7 +31,7 @@ def iou(a: RotatedBox, b: RotatedBox):
     inter = intersection_area(a, b)
     if inter == 0.0:
         return 0.0
-    return inter / (a.area + b.area - inter)
+    return inter / (a.w * a.h + b.w * b.h - inter)
 
 
 def scalar_encode_box(anchor: RotatedBox, gt: RotatedBox):
@@ -179,3 +179,24 @@ def temporal_group_conv(x, weights):
         (x, lambda g: wd[:, None, None, None] * g[None]),
         (weights, lambda g: np.tensordot(xd, g, axes=((1, 2, 3), (0, 1, 2)))),
     )
+
+
+# taped ops that no model code uses, kept for the gradient checks; they
+# record on the tape like the ops in ``bevtrack.tensor``
+
+
+def sigmoid(x):
+    y = T.sigmoid_array(T._as_array(x))
+    return T._node(y, (x, lambda g: y * (1.0 - y) * g))
+
+
+def mul(a, b):
+    ad, bd = T._as_array(a), T._as_array(b)
+    if ad.shape != bd.shape:
+        raise T.TensorError(f"mul shape mismatch {ad.shape} vs {bd.shape}")
+    return T._node(ad * bd, (a, lambda g: g * bd), (b, lambda g: g * ad))
+
+
+def tensor_sum(x):
+    xd = T._as_array(x)
+    return T._node(np.asarray(xd.sum()), (x, lambda g: np.full_like(xd, float(g.reshape(())))))

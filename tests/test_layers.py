@@ -1,6 +1,8 @@
-"""Imports inside bevtrack point only downward, in one fixed layer order."""
+"""Imports inside bevtrack point only downward, in one fixed layer order, and
+``src/`` defines nothing that only tests use."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import bevtrack
@@ -34,3 +36,33 @@ def test_imports_point_only_downward():
             if dep not in LAYERS[:rank]:
                 upward.append(f"{name} imports {dep}")
     assert upward == []
+
+
+def names_used(tree):
+    """How often each name is read, as a variable, an attribute or an import."""
+    counts = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            counts[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            counts[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            counts[node.name.rsplit(".", 1)[-1]] += 1
+    return counts
+
+
+def test_every_definition_is_used_outside_tests():
+    """Each function, class and non-dunder method is named in src/ or benchmark/ outside its own body."""
+    repo = PACKAGE.parent.parent
+    trees = {p: ast.parse(p.read_text()) for d in (PACKAGE, repo / "benchmark") for p in sorted(d.rglob("*.py"))}
+    used = sum((names_used(t) for t in trees.values()), Counter())
+    unused = [
+        f"{path.name}:{node.name}"
+        for path, tree in trees.items()
+        if path.is_relative_to(PACKAGE)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and used[node.name] - names_used(node)[node.name] <= 0
+    ]
+    assert unused == []

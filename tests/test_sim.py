@@ -42,6 +42,25 @@ def single_vehicle_scene(cx, cy, theta=0.0, w=2.0, length=4.0, duration=1, speed
     return Scene(duration=duration, frame_interval=dt, ego=ego, vehicles=[v])
 
 
+class TestSimConfig:
+    @pytest.mark.parametrize(
+        "field,value",
+        [("duration", 0), ("frame_interval", 0.0), ("frame_interval", math.nan), ("n_vehicles", (5, 2)),
+         ("n_vehicles", (-1, 2)), ("speed", (3.0, 1.0)), ("turn_rate", (0.2, -0.2)), ("spawn_x", (5.0, -5.0)),
+         ("spawn_y", (1.0, 0.0)), ("z_span", (1.4, 0.2)), ("ego_speed", (2.0, 1.0)), ("vehicle_width", (0.0, 2.0)),
+         ("vehicle_length", (-3.0, 4.0)), ("dropout", 1.5), ("static_fraction", -0.1), ("base_density", -1.0),
+         ("sensor_range", 0.0)],
+    )
+    def test_out_of_range_value_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**{field: value})
+
+    def test_edge_values_accepted(self):
+        SimConfig(duration=1, n_vehicles=(0, 0), speed=(0.0, 0.0), ego_speed=(0.0, 0.0), dropout=1.0,
+                  static_fraction=0.0, base_density=0.0)
+        SimConfig(n_vehicles=(14, 14), dropout=0.0, static_fraction=1.0)
+
+
 class TestSceneGeneration:
     def test_deterministic_in_seed(self):
         a = generate_scene(small_config())

@@ -9,7 +9,7 @@ import pytest
 
 from bevtrack import tensor as T
 from bevtrack.tensor import TensorError
-from oracles import temporal_group_conv
+from oracles import mul, sigmoid, temporal_group_conv, tensor_sum
 
 
 def naive_conv2d(x, w, b, pad):
@@ -135,7 +135,7 @@ class TestConv2d:
             wt = tape.parameter("w", w)
             bt = tape.parameter("b", b)
             y = T.conv2d(xt, wt, bt, pad=1)
-            loss = T.tensor_sum(T.mul(y, y))
+            loss = tensor_sum(mul(y, y))
             val = loss.item()
             T.backward(loss, tape)
             return val, [tape.param_grads["x"], tape.param_grads["w"], tape.param_grads["b"]]
@@ -158,7 +158,7 @@ class TestConv2d:
             x, w, b = arrays
             tape = T.Tape()
             y = T.conv2d(tape.parameter("x", x), tape.parameter("w", w), tape.parameter("b", b), pad=1)
-            loss = T.tensor_sum(T.mul(y, y))
+            loss = tensor_sum(mul(y, y))
             val = loss.item()
             T.backward(loss, tape)
             return val, [tape.param_grads["x"], tape.param_grads["w"], tape.param_grads["b"]]
@@ -194,7 +194,7 @@ class TestConv2d:
             tape = T.Tape()
             xt, wt, bt = (tape.parameter(name, a) for name, a in zip("xwb", arrays))
             y = T.conv2d(xt, wt, bt, pad=pad)
-            loss = T.tensor_sum(T.mul(y, y))
+            loss = tensor_sum(mul(y, y))
             val = loss.item()
             T.backward(loss, tape)
             return val, [tape.param_grads[name] for name in "xwb"]
@@ -238,7 +238,7 @@ class TestConv3d:
         y = T.conv3d(x, tape.parameter("w", w), b, spatial_pad=pad)
         np.testing.assert_allclose(y.data, naive_conv3d(x, w, b, pad), rtol=0, atol=1e-12)
         g = rng.standard_normal(y.shape)
-        T.backward(T.tensor_sum(T.mul(y, T.Tensor(g))), tape)
+        T.backward(tensor_sum(mul(y, T.Tensor(g))), tape)
         want = naive_conv3d_weight_grad(x, g, w.shape, pad)
         np.testing.assert_allclose(tape.param_grads["w"], want, rtol=0, atol=1e-12)
 
@@ -257,7 +257,7 @@ class TestConv3d:
             w, b = arrays
             tape = T.Tape()
             y = T.conv3d(x, tape.parameter("w", w), tape.parameter("b", b), 1)
-            loss = T.tensor_sum(T.mul(y, y))
+            loss = tensor_sum(mul(y, y))
             val = loss.item()
             T.backward(loss, tape)
             return val, [tape.param_grads["w"], tape.param_grads["b"]]
@@ -306,7 +306,7 @@ class TestTemporalGroupConv:
             x, w = arrays
             tape = T.Tape()
             y = temporal_group_conv(tape.parameter("x", x), tape.parameter("w", w))
-            loss = T.tensor_sum(T.mul(y, y))
+            loss = tensor_sum(mul(y, y))
             val = loss.item()
             T.backward(loss, tape)
             return val, [tape.param_grads["x"], tape.param_grads["w"]]
@@ -346,7 +346,7 @@ def assert_close_relative(got, want, rtol=1e-12, scale=None):
 
 
 def taped_loss(y, g):
-    return T.tensor_sum(T.mul(y, T.Tensor(g)))
+    return tensor_sum(mul(y, T.Tensor(g)))
 
 
 class TestFirstLayer:
@@ -507,6 +507,17 @@ class TestSparseField:
         with pytest.raises(TensorError, match="edge"):
             field.dense()
 
+    def test_kernel_exceeding_the_padded_input_rejected_as_for_an_array(self):
+        for x in (np.zeros((1, 1, 2, 2)), T.SparseField.of(np.zeros((1, 1, 2, 2)))):
+            with pytest.raises(TensorError, match="exceeds padded input"):
+                T.conv3d(x, np.ones((1, 1, 3, 3)), np.zeros(1), 0)
+
+    def test_pool_window_exceeding_the_input_rejected_as_for_an_array(self):
+        with pytest.raises(TensorError, match="window 2 exceeds input 1x3"):
+            T.maxpool2d(np.ones((1, 1, 3)))
+        with pytest.raises(TensorError, match="window 2 exceeds input 1x3"):
+            T.maxpool2d(T.SparseField.of(np.ones((1, 1, 1, 3))))
+
     def test_pool_parity_mismatch_rejected(self):
         with pytest.raises(TensorError, match="parities"):
             T.maxpool2d(T.SparseField.of(np.ones((1, 1, 41, 8))))
@@ -549,7 +560,7 @@ class TestMaxPool:
         tape = T.Tape()
         x = tape.parameter("x", np.ones((1, 2, 2)))
         y = T.maxpool2d(x)
-        T.backward(T.tensor_sum(y), tape)
+        T.backward(tensor_sum(y), tape)
         g = tape.param_grads["x"][0]
         assert g[0, 0] == 1.0 and g.sum() == 1.0
 
@@ -560,7 +571,7 @@ class TestMaxPool:
         def f(arrays):
             tape = T.Tape()
             y = T.maxpool2d(tape.parameter("x", arrays[0]))
-            loss = T.tensor_sum(T.mul(y, y))
+            loss = tensor_sum(mul(y, y))
             val = loss.item()
             T.backward(loss, tape)
             return val, [tape.param_grads["x"]]
@@ -570,10 +581,10 @@ class TestMaxPool:
 
 class TestActivations:
     def test_sigmoid_midpoint(self):
-        assert T.sigmoid(T.Tensor([0.0])).data[0] == 0.5
+        assert sigmoid(T.Tensor([0.0])).data[0] == 0.5
 
     def test_sigmoid_stable_at_700(self):
-        y = T.sigmoid(T.Tensor([700.0, -700.0])).data
+        y = sigmoid(T.Tensor([700.0, -700.0])).data
         assert np.all(np.isfinite(y)) and y[0] > 0.99 and y[1] < 0.01
 
     def test_relu_negative(self):
@@ -585,8 +596,8 @@ class TestActivations:
 
         def f(arrays):
             tape = T.Tape()
-            y = T.sigmoid(tape.parameter("x", arrays[0]))
-            loss = T.tensor_sum(T.mul(y, y))
+            y = sigmoid(tape.parameter("x", arrays[0]))
+            loss = tensor_sum(mul(y, y))
             val = loss.item()
             T.backward(loss, tape)
             return val, [tape.param_grads["x"]]
@@ -664,7 +675,7 @@ class TestBackward:
     def test_sum_of_squares_grad(self):
         tape = T.Tape()
         p = tape.parameter("p", np.array([1.0, -2.0, 3.0]))
-        loss = T.tensor_sum(T.mul(p, p))
+        loss = tensor_sum(mul(p, p))
         T.backward(loss, tape)
         np.testing.assert_allclose(tape.param_grads["p"], [2.0, -4.0, 6.0])
 
@@ -678,7 +689,7 @@ class TestBackward:
             w, b = arrays
             tape = T.Tape()
             y = T.relu(T.conv2d(T.Tensor(x), tape.parameter("w", w), tape.parameter("b", b), pad=1))
-            loss = T.tensor_sum(T.mul(y, y))
+            loss = tensor_sum(mul(y, y))
             val = loss.item()
             T.backward(loss, tape)
             return val, [tape.param_grads["w"], tape.param_grads["b"]]
@@ -688,7 +699,7 @@ class TestBackward:
     def test_constant_graph_zero_grads(self):
         tape = T.Tape()
         p = tape.parameter("p", np.ones(3))
-        loss = T.tensor_sum(T.Tensor(np.zeros(2)))
+        loss = tensor_sum(T.Tensor(np.zeros(2)))
         with pytest.raises(TensorError):
             T.backward(loss, tape)
 
@@ -696,14 +707,14 @@ class TestBackward:
         tape = T.Tape()
         p = tape.parameter("p", np.ones(3))
         q = tape.parameter("q", np.array([2.0]))
-        loss = T.tensor_sum(T.mul(q, q))
+        loss = tensor_sum(mul(q, q))
         T.backward(loss, tape)
         np.testing.assert_array_equal(tape.param_grads["p"], np.zeros(3))
 
     def test_second_backward_rejected(self):
         tape = T.Tape()
         p = tape.parameter("p", np.ones(2))
-        loss = T.tensor_sum(p)
+        loss = tensor_sum(p)
         T.backward(loss, tape)
         with pytest.raises(TensorError, match="twice"):
             T.backward(loss, tape)
@@ -715,7 +726,7 @@ class TestBackward:
         b = tape.parameter("b", np.zeros(3))
         y = T.relu(T.conv2d(p, w, b, pad=1))
         activation = weakref.ref(y.data)
-        loss = T.tensor_sum(T.mul(y, y))
+        loss = tensor_sum(mul(y, y))
         del y
         gc.disable()
         try:
@@ -733,7 +744,7 @@ class TestBackward:
         w = tape.parameter("w", rng.standard_normal((2, 1, 3, 3, 3)))
         b = tape.parameter("b", rng.standard_normal(2))
         y = T.conv3d(x, w, b, spatial_pad=1)
-        T.backward(T.tensor_sum(T.mul(y, y)), tape)
+        T.backward(tensor_sum(mul(y, y)), tape)
         assert x.grad is None
         assert y._parents == (w, b)
         assert tape.param_grads["w"].shape == w.shape and np.any(tape.param_grads["w"])
@@ -746,7 +757,7 @@ class TestBackward:
 
     def test_off_tape_tensor_rejected(self):
         tape = T.Tape()
-        loss = T.tensor_sum(T.Tensor(np.ones(2)))
+        loss = tensor_sum(T.Tensor(np.ones(2)))
         with pytest.raises(TensorError):
             T.backward(loss, tape)
 
@@ -758,7 +769,7 @@ class TestBackward:
             w = tape.parameter("w", rng.standard_normal((2, 2, 3, 3)))
             b = tape.parameter("b", rng.standard_normal(2))
             y = T.maxpool2d(T.relu(T.conv2d(x, w, b, pad=1)))
-            loss = T.tensor_sum(T.mul(y, y))
+            loss = tensor_sum(mul(y, y))
             T.backward(loss, tape)
             return loss.item(), tape.param_grads["w"].copy()
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,26 @@ class TestVoxelize:
     def test_max_boundary_dropped(self):
         g = voxelize([[72.0, 0.0, 0.0]], FULL_SCALE_GRID)
         assert g.sum() == 0
+
+    @pytest.mark.parametrize("far", [3e18, 1e308, -1e308])
+    def test_far_points_dropped_without_a_numpy_warning(self, far):
+        pts = [[far, 0.0, 0.0], [0.0, far, 0.0], [0.0, 0.0, far], [0.1, 0.1, -1.9]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = voxelize(pts, FULL_SCALE_GRID)
+        assert g[0, 360, 200] == 1.0 and g.sum() == 1.0
+
+    def test_points_within_a_cell_of_the_range_binned_as_before(self):
+        rng = np.random.default_rng(1)
+        lo, hi = np.array([-72.0, -40.0, -2.0]), np.array([72.0, 40.0, 3.8])
+        pts = rng.uniform(lo - 0.3, hi + 0.3, size=(4000, 3))
+        pts[:6] = [lo - 0.2, hi + 0.2, lo, hi, np.nextafter(hi, -np.inf), np.nextafter(lo, -np.inf)]
+        g = np.zeros((29, 720, 400))
+        for x, y, z in pts:
+            i, j, k = (int(math.floor((v - o) / 0.2)) for v, o in zip((x, y, z), lo))
+            if 0 <= i < 720 and 0 <= j < 400 and 0 <= k < 29:
+                g[k, i, j] = 1.0
+        assert np.array_equal(voxelize(pts, FULL_SCALE_GRID), g)
 
     def test_duplicate_points_idempotent(self):
         pts = [[1.0, 1.0, 0.0]] * 5

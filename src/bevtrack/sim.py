@@ -58,6 +58,8 @@ class SimConfig:
             "static_fraction": (0.0 <= self.static_fraction <= 1.0, "in [0, 1]"),
             "base_density": (self.base_density >= 0.0, ">= 0"),
             "sensor_range": (self.sensor_range > 0.0, "positive"),
+            "ego_clearance": (self.ego_clearance >= 0.0, ">= 0"),
+            "max_spawn_retries": (self.max_spawn_retries >= 1, ">= 1"),
         }
         for name, (ok, rule) in rules.items():
             if not ok:

@@ -388,8 +388,6 @@ def maxpool2d(x):
 # ---------------------------------------------------------------------------
 # sparse fields: a background field plus deltas at sites
 
-BACKGROUND_SIDE = 32  # most cells per side of the grid a field's background is held on
-
 
 class SparseField(Tensor):
     """A [C,T,H,W] value held as a background field plus deltas at sparse sites.
@@ -397,21 +395,22 @@ class SparseField(Tensor):
     ``data`` is [C, S]: the deltas at ``sites``, the ascending flat ids of
     their cells in the [T,H,W] grid. Every other cell holds the background,
     the value the same ops give an all-zero input. The background is
-    constant inside the grid and varies only within ``band`` cells of an
-    edge, so it is held on a grid of at most BACKGROUND_SIDE cells per side
-    (see :func:`_clip_map`). Each op recomputes it from its own weights, so
-    nothing is cached across calls.
+    constant except in a band of cells along each edge, so per axis it is
+    held on its smallest exact grid: the band at each end plus one interior
+    cell, or the whole axis when that is no shorter (see :func:`_clip_map`).
+    The grid's shape alone says where the band is. Each op recomputes the
+    background from its own weights, so nothing is cached across calls.
 
     conv3d, relu and maxpool2d take a field and return one, computing only
     at the sites that an input site reaches; :meth:`dense` writes it out.
     A field is never on a tape, and every other op rejects it.
     """
 
-    __slots__ = ("full_shape", "sites", "background", "band")
+    __slots__ = ("full_shape", "sites", "background")
 
-    def __init__(self, deltas, shape, sites, background, band):
+    def __init__(self, deltas, shape, sites, background):
         super().__init__(deltas)
-        self.full_shape, self.sites, self.background, self.band = tuple(shape), sites, background, band
+        self.full_shape, self.sites, self.background = tuple(shape), sites, background
 
     @classmethod
     def of(cls, x):
@@ -422,8 +421,7 @@ class SparseField(Tensor):
         c, t, h, w = xd.shape
         sites = np.flatnonzero(xd.any(axis=0))
         st, sh, sw = _coords(sites, h, w)
-        background = np.zeros((c, t, min(h, BACKGROUND_SIDE), min(w, BACKGROUND_SIDE)))
-        return cls(xd[:, st, sh, sw], xd.shape, sites, background, 0)
+        return cls(xd[:, st, sh, sw], xd.shape, sites, np.zeros((c, t, 1, 1)))
 
     @property
     def shape(self):
@@ -432,9 +430,7 @@ class SparseField(Tensor):
     def dense(self):
         """The [C,T,H,W] array: the background everywhere, plus the deltas at the sites."""
         c, _, h, w = self.full_shape
-        m, k = self.background.shape[2:]
-        # columns first: the row take then copies whole rows
-        out = self.background.take(_clip_map(w, k, self.band), axis=3).take(_clip_map(h, m, self.band), axis=2)
+        out = _grow(self.background, h, w)
         out.reshape(c, -1)[:, self.sites] += self.data
         return out
 
@@ -448,35 +444,39 @@ def _coords(sites, h, w):
     return (st, *np.divmod(rest, w))
 
 
-def _background_at(background, band, size, st, sh, sw):
+def _background_at(background, size, st, sh, sw):
     """[C, N] values at N cells, by frame, row and column, of a grid of ``size`` (H, W)."""
     m, k = background.shape[2:]
-    return background[:, st, _clip_map(size[0], m, band)[sh], _clip_map(size[1], k, band)[sw]]
+    return background[:, st, _clip_map(size[0], m)[sh], _clip_map(size[1], k)[sw]]
 
 
-def _clip_map(n, m, band):
-    """Rows of an n-cell axis -> rows of its m-cell background grid (m <= n).
+def _clip_map(n, m):
+    """Cells of an n-cell axis -> cells of its m-cell background grid (m <= n).
 
-    The first and last m // 2 rows keep their distance to their edge; every
-    row between them reads the middle row m // 2 - 1. That is exact while
-    the background varies only within ``band`` rows of an edge.
+    The first and last m // 2 cells keep their distance to their edge; every
+    cell between them reads the middle cell m // 2, the constant interior, so
+    the grid holds an edge band of (m - 1) // 2 cells (any band if m = n).
     """
     r = np.arange(n)
-    if n == m:
-        return r
-    if band > m // 2 - 1:
-        raise TensorError(f"background varies within {band} cells of an edge, more than its {m}-cell grid holds")
-    return np.where(r < m // 2, r, np.maximum(r - (n - m), m // 2 - 1))
+    return np.where(r < m // 2, r, np.maximum(r - (n - m), m // 2))
+
+
+def _grow(background, h, w):
+    """A [C,T,m,k] background on an h x w grid (h >= m, w >= k), along the clip maps."""
+    m, k = background.shape[2:]
+    # columns first: the row take then copies whole rows
+    return background.take(_clip_map(w, k), axis=3).take(_clip_map(h, m), axis=2)
 
 
 def _conv3d_field(x, w5, bd, pad):
     """conv3d of a SparseField: the background's conv plus the deltas' sparse conv.
 
     By linearity conv(B + D) = conv(B) + conv(D). conv(B) is conv2d over the
-    background's grid, with the bias; conv(D) runs the sparse rules from the
-    input sites into the cells they reach, which a dense bool mask collects
-    and a dense index map numbers. One GEMM per tap scatters into those rows;
-    a tap's cells that fall in the frame's padding go to a spare row.
+    background grown by kernel - 1 cells per axis, with the bias, so its band
+    widens by ``pad``; conv(D) runs the sparse rules from the input sites into
+    the cells they reach, which a dense bool mask collects and a dense index
+    map numbers. One GEMM per tap scatters into those rows; a tap's cells
+    that fall in the frame's padding go to a spare row.
     Returns the output field, that row map and the taps, for the VJP.
     """
     c_out, _, kt, kh, kw = w5.shape
@@ -496,25 +496,22 @@ def _conv3d_field(x, w5, bd, pad):
         y[:, row[cell]] += w5[(slice(None), slice(None)) + offset] @ x.data[:, sites]
     b = x.background
     if b.any():
+        b = _grow(b, min(h, b.shape[2] + kh - 1), min(w, b.shape[3] + kw - 1))
         background = np.stack([conv2d(b[:, to : to + kt], w5, bd, pad).data for to in range(t_out)], axis=1)
-    else:  # an empty input, as at the first layer, convolves to the bias alone
-        shape = (c_out, t_out, b.shape[2] + 2 * pad - kh + 1, b.shape[3] + 2 * pad - kw + 1)
-        background = np.broadcast_to(bd[:, None, None, None], shape).copy()
-    return SparseField(y[:, :-1], (c_out, t_out, oh, ow), out, background, x.band + pad), row, taps
+    else:  # an empty input, as at the first layer, convolves to the bias alone: no band
+        background = np.repeat(bd[:, None, None, None], t_out, axis=1)
+    return SparseField(y[:, :-1], (c_out, t_out, oh, ow), out, background), row, taps
 
 
 def _relu_field(x):
-    b = _background_at(x.background, x.band, x.shape[2:], *_coords(x.sites, *x.shape[2:]))
+    b = _background_at(x.background, x.shape[2:], *_coords(x.sites, *x.shape[2:]))
     deltas = np.maximum(b + x.data, 0.0) - np.maximum(b, 0.0)
-    return SparseField(deltas, x.shape, x.sites, np.maximum(x.background, 0.0), x.band)
+    return SparseField(deltas, x.shape, x.sites, np.maximum(x.background, 0.0))
 
 
 def _maxpool_field(x):
     """maxpool2d of a SparseField, frame by frame: a pooled cell is a site when a child is."""
     c, t, h, w = x.shape
-    m, k = x.background.shape[2:]
-    if (h - m) % 2 or (w - k) % 2:
-        raise TensorError(f"maxpool2d of a {h}x{w} field whose background grid is {m}x{k}: parities differ")
     oh, ow = h // 2, w // 2
     st, sh, sw = _coords(x.sites, h, w)
     kept = (sh < 2 * oh) & (sw < 2 * ow)  # floor truncation drops an odd last row or column
@@ -529,11 +526,12 @@ def _maxpool_field(x):
     for a in (0, 1):
         for b in (0, 1):
             ci, cj = 2 * oi + a, 2 * oj + b
-            v = deltas[:, row[(ot * h + ci) * w + cj]] + _background_at(x.background, x.band, (h, w), ot, ci, cj)
+            v = deltas[:, row[(ot * h + ci) * w + cj]] + _background_at(x.background, (h, w), ot, ci, cj)
             best = v if best is None else np.maximum(best, v)
-    bg = x.background[:, :, : m // 2 * 2, : k // 2 * 2].reshape(c, t, m // 2, 2, k // 2, 2).max(axis=(3, 5))
-    band = (x.band + 1) // 2
-    return SparseField(best - _background_at(bg, band, (oh, ow), ot, oi, oj), (c, t, oh, ow), out, bg, band)
+    m, k = (2 * ((n + 1) // 4) + 1 for n in x.background.shape[2:])  # a b-cell band pools to (b + 1) // 2 cells
+    g = _grow(x.background, min(h, 2 * m + h % 2), min(w, 2 * k + w % 2))  # twice that grid, keeping each parity
+    bg = maxpool2d(g.reshape(c * t, *g.shape[2:])).data.reshape(c, t, g.shape[2] // 2, g.shape[3] // 2)
+    return SparseField(best - _background_at(bg, (oh, ow), ot, oi, oj), (c, t, oh, ow), out, bg)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import json
 import os
 import struct
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,6 +158,9 @@ OUT_OF_RANGE = [
     ("generate", "sim.static_fraction=-0.5"),
     ("generate", "sim.base_density=-1"),
     ("generate", "sim.sensor_range=-1"),
+    ("generate", "sim.ego_clearance=-5"),
+    ("generate", "sim.max_spawn_retries=-1"),
+    ("generate", "sim.max_spawn_retries=0"),
 ]
 
 
@@ -363,6 +368,28 @@ class TestLoadersFailClosed:
             assert code in (0, 1) and (code == 0 or err.startswith("error:"))
             assert ds is not None or code == 1
 
+    @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(draw=st.data())
+    def test_byte_flipped_tracklets_render_or_end_in_error(self, cfg_path, tmp_path, capsys, draw):
+        data_dir, tracklets = tmp_path / "data", tmp_path / "tracklets.txt"
+        if not tracklets.exists():  # one dataset and one tracklets file for every example
+            assert run("--config", cfg_path, "--out", str(data_dir), "generate") == 0
+            boxes = [RotatedBox(1.0, 0.5, 2.0, 4.0, 0.3), RotatedBox(-2.0, 1.0, 1.5, 3.0, -1.0)]
+            dump_tracklets([TrackletFrame(t, 3 + i, b, 0.9, "live") for t in range(3) for i, b in enumerate(boxes)], tracklets)
+        bad = byte_flipped(tracklets, draw)
+        args = ("render", str(data_dir / "dataset.jsonl"), "--tracklets", str(bad))
+        code = run("--config", cfg_path, "--out", str(bad.parent), *args)
+        err = capsys.readouterr().err
+        assert code == 0 or (code == 1 and err.startswith("error:")), err
+
+    @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(draw=st.data())
+    def test_byte_flipped_config_generates_or_ends_in_error(self, cfg_path, capsys, draw):
+        bad = byte_flipped(Path(cfg_path), draw)
+        code = run("--config", str(bad), "--out", str(bad.parent), "generate")
+        err = capsys.readouterr().err
+        assert code == 0 or (code == 1 and err.startswith("error:")), err
+
     def test_checkpoint_of_an_impossible_shape_ends_in_error(self, trained, capsys):
         cfg, dataset, _ckpt, tmp_path = trained
         header = json.dumps({"version": 1, "params": [{"name": "p", "shape": [10**12]}], "config": None}).encode()
@@ -450,6 +477,22 @@ class TestLoadersFailClosed:
                     code = run("--out", str(tmp_path / f"r{n}"), *args(str(bad)))
                     err = capsys.readouterr().err
                     assert code == 0 or (code == 1 and err.startswith("error:")), (line, err)
+
+
+def byte_flipped(path, draw):
+    """A copy of the file at ``path`` with one or two bytes replaced, drawn by hypothesis.
+
+    Each copy gets a new directory, for the run's outputs too: rewriting files costs far more on some file systems.
+    """
+    data = bytearray(path.read_bytes())
+    # a digit put on a digit changes a value; any other byte mostly breaks the syntax
+    where = st.one_of(st.sampled_from([i for i, c in enumerate(data) if chr(c).isdigit()]), st.integers(0, len(data) - 1))
+    byte = st.one_of(st.sampled_from(b"0123456789"), st.sampled_from(b"-.e"), st.integers(0, 255))
+    for pos, value in draw.draw(st.lists(st.tuples(where, byte), min_size=1, max_size=2)):
+        data[pos] = value
+    bad = Path(tempfile.mkdtemp(dir=path.parent)) / ("flipped" + path.suffix)
+    bad.write_bytes(bytes(data))
+    return bad
 
 
 def dropped_and_cut(path, seed):

@@ -1,5 +1,5 @@
 """Imports inside bevtrack point only downward, in one fixed layer order, and
-``src/`` defines nothing that only tests use."""
+``src/`` defines nothing, constants included, that only tests use."""
 
 import ast
 from collections import Counter
@@ -51,18 +51,27 @@ def names_used(tree):
     return counts
 
 
+def definitions(tree):
+    """(name, node) of each function, class and non-dunder method, and of each module-level UPPER_CASE constant."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield node.name, node
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+        yield from ((t.id, node) for t in targets if isinstance(t, ast.Name) and t.id.isupper())
+
+
 def test_every_definition_is_used_outside_tests():
-    """Each function, class and non-dunder method is named in src/ or benchmark/ outside its own body."""
+    """Each definition in src/ is named in src/ or benchmark/ outside its own body (a constant: outside its assignment)."""
     repo = PACKAGE.parent.parent
     trees = {p: ast.parse(p.read_text()) for d in (PACKAGE, repo / "benchmark") for p in sorted(d.rglob("*.py"))}
     used = sum((names_used(t) for t in trees.values()), Counter())
     unused = [
-        f"{path.name}:{node.name}"
+        f"{path.name}:{name}"
         for path, tree in trees.items()
         if path.is_relative_to(PACKAGE)
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
-        and used[node.name] - names_used(node)[node.name] <= 0
+        for name, node in definitions(tree)
+        if used[name] - names_used(node)[name] <= 0
     ]
     assert unused == []

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bevtrack import net
 from bevtrack import tensor as T
 from bevtrack.config import from_dict, to_dict
 from bevtrack.geom import RotatedBox
@@ -368,6 +369,18 @@ class TestSparseInference:
         for occ in (edge_input(n_in, 2, nx, ny, seed=ny), np.zeros((n_in, 2, nx, ny)), np.ones((n_in, 2, nx, ny))):
             assert_sparse_matches_dense(model, occ)
 
+    @pytest.mark.parametrize("fusion,n_in", [("late", 5), ("late", 4), ("late", 1), ("early", 5), ("early", 1)])
+    @pytest.mark.parametrize("cells", [(32, 32), (72, 16), (120, 80)])
+    def test_three_sparse_groups_match_dense(self, fusion, n_in, cells, monkeypatch):
+        """g1 to g3 on a field: the edge band widens through seven convolutions and three pools, on sides up to 120 cells."""
+        monkeypatch.setattr(net, "SPARSE_GROUPS", 3)
+        nx, ny = cells
+        grid = GridSpec((0.0, 0.2 * nx), (0.0, 0.2 * ny), (0.0, 0.4), 0.2)
+        cfg = micro_config(grid=grid, fusion=fusion, n_in=n_in, widths=(3, 4, 3, 2))
+        model = with_random_biases(Model(cfg, seed=n_in), seed=nx)
+        for occ in (edge_input(n_in, 2, nx, ny, seed=ny), np.zeros((n_in, 2, nx, ny))):
+            assert_sparse_matches_dense(model, occ)
+
     def test_matches_dense_on_a_trained_checkpoint(self, tmp_path):
         grid = GridSpec((-4.8, 4.8), (-4.0, 4.0), (0.0, 1.6), 0.2)  # 48 x 40 cells
         cfg = micro_config(grid=grid, n_in=3, n_out=2, widths=(4, 4, 4, 4), head_width=4)
@@ -389,7 +402,7 @@ class TestSparseInference:
         for name in ("g1.c1", "g1.c2"):
             field = T.relu(T.conv3d(field, model.params[f"{name}.w"], model.params[f"{name}.b"], spatial_pad=1))
         assert len(field.sites) == 0
-        assert field.background.shape == (2, 1, 32, 32)
+        assert field.background.shape == (2, 1, 3, 3)  # a band of one cell per padded convolution after the first
         assert_sparse_matches_dense(model, np.zeros((5, 2, 48, 32)))
 
 

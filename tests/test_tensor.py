@@ -472,7 +472,7 @@ def frame_by_frame_conv3d(x, w5, b, pad):
 
 
 class TestSparseField:
-    """conv3d, relu and maxpool2d of a SparseField against the dense ops, past the 32-cell background grid."""
+    """conv3d, relu and maxpool2d of a SparseField against the dense ops, at any band depth and parity."""
 
     @pytest.mark.parametrize("pad", [0, 1, 2])
     def test_ops_match_dense_ops(self, pad):
@@ -500,12 +500,20 @@ class TestSparseField:
         with pytest.raises(TensorError, match="dense"):
             T.conv2d(field, np.ones((1, 1, 3, 3)), np.zeros(1), pad=1)
 
-    def test_background_deeper_than_its_grid_rejected(self):
-        field = T.SparseField.of(np.zeros((1, 1, 40, 40)))
+    @pytest.mark.parametrize("bias", [0.0, 1.0])
+    def test_band_of_15_cells_matches_dense(self, bias):
+        dense = np.zeros((1, 1, 40, 40))
+        field = T.SparseField.of(dense)
+        w, b = np.ones((1, 1, 3, 3)), np.full(1, bias)
         for _ in range(16):  # each padded 3x3 convolution widens the edge band by one cell
-            field = T.conv3d(field, np.ones((1, 1, 3, 3)), np.zeros(1), spatial_pad=1)
-        with pytest.raises(TensorError, match="edge"):
-            field.dense()
+            field = T.conv3d(field, w, b, spatial_pad=1)
+            dense = frame_by_frame_conv3d(dense, w[:, :, None], b, 1)
+        assert_close_relative(field.dense(), dense)
+        # 2 * 15 + 1 cells: the first convolution of a zero background is the bias alone
+        assert field.background.shape[2:] == ((31, 31) if bias else (1, 1))
+        field, dense = T.maxpool2d(field), T.maxpool2d(dense[:, 0]).data[:, None]
+        assert_close_relative(field.dense(), dense)
+        assert field.background.shape[2:] == ((17, 17) if bias else (1, 1))  # a band of 15 cells pools to 8
 
     def test_kernel_exceeding_the_padded_input_rejected_as_for_an_array(self):
         for x in (np.zeros((1, 1, 2, 2)), T.SparseField.of(np.zeros((1, 1, 2, 2)))):
@@ -518,9 +526,21 @@ class TestSparseField:
         with pytest.raises(TensorError, match="window 2 exceeds input 1x3"):
             T.maxpool2d(T.SparseField.of(np.ones((1, 1, 1, 3))))
 
-    def test_pool_parity_mismatch_rejected(self):
-        with pytest.raises(TensorError, match="parities"):
-            T.maxpool2d(T.SparseField.of(np.ones((1, 1, 41, 8))))
+    @pytest.mark.parametrize("h,w", [(41, 8), (41, 9), (13, 27), (7, 5)])
+    def test_pool_of_any_parity_matches_dense(self, h, w):
+        rng = np.random.default_rng(h * w)
+        x = np.zeros((2, 1, h, w))
+        x[:, 0, 0, 0] = rng.standard_normal(2)  # one site, so the bottom and right edges hold the background
+        wt, b = rng.uniform(0.0, 1.0, (2, 2, 3, 3)), rng.uniform(0.5, 1.0, 2)  # a positive background, lower at the edges
+        banded = T.SparseField.of(x)
+        for _ in range(3):  # the first convolution gives the bias alone; each later one widens the edge band
+            banded = T.relu(T.conv3d(banded, wt, b, 1))
+        for field in (T.SparseField.of(np.ones((1, 1, h, w))), banded):
+            dense = field.dense()
+            for _ in range(2):
+                field = T.maxpool2d(field)
+                dense = T.maxpool2d(dense[:, 0]).data[:, None]
+                assert_close_relative(field.dense(), dense)
 
 
 class TestTemporalKernel:

@@ -9,11 +9,12 @@ Two sibling heads predict per-anchor vehicle probability and a 6-vector
 regression code for the current frame and each future timestamp. In every
 mode the first layer runs as the one conv3d, over the occupancy (early
 fusion's kernel is the spatial kernel times the temporal weights), so its
-cost follows the occupied voxels. In training every later layer is a
-conv2d; late fusion's second layer, when frames remain, collapses them with
-a 5D kernel. Inference runs the first SPARSE_GROUPS groups on a
-``tensor.SparseField`` instead, through conv3d, so they too compute only
-the cells the occupied voxels reach.
+cost follows the occupied voxels. Training and inference run the first
+SPARSE_GROUPS groups on a ``tensor.SparseField``, through conv3d, so they
+too compute only the cells the occupied voxels reach; late fusion's second
+layer, when frames remain, collapses them with a 5D kernel. The field is
+written out once, before the first dense layer (or the heads), and every
+later layer is a conv2d.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .voxel import GridSpec, InputTensor
 
 STRIDE = 8
 GROUP_SIZES = (2, 2, 3, 3)
-# Inference computes the first groups on the cells an occupied voxel reaches:
+# The first groups run on the cells an occupied voxel reaches, in training and inference:
 # about 6.5% of the cells after g1 and 20% after g2 on a 48x32 m scene, but
 # 65% after g3, where little work would be skipped.
 SPARSE_GROUPS = 2
@@ -266,13 +267,13 @@ class Model:
         """Run the network; returns (HeadOutput, cls logit Tensor, reg Tensor).
 
         With a tape the returned Tensors stay differentiable for the loss;
-        without one this is a plain inference pass, whose own tape is released
-        so its buffers are freed as soon as the caller drops the results.
-        Inference runs the first SPARSE_GROUPS groups on a ``T.SparseField``
-        of the occupancy: each layer is its background (the network's value on
-        an empty input) plus deltas at the cells an occupied voxel reaches, and
-        only those cells are computed. After them the field is written out
-        densely. Both paths compute the same values up to rounding.
+        without one this is a plain inference pass, whose field layers record
+        nothing and whose own tape is released, so its buffers are freed as
+        soon as the caller drops the results. Both run the first SPARSE_GROUPS
+        groups on a ``T.SparseField`` of the occupancy: each layer is its
+        background (the network's value on an empty input) plus deltas at the
+        cells an occupied voxel reaches, and only those cells are computed.
+        After them the field is written out densely.
         """
         cfg = self.config
         occ = inp.occupancy
@@ -285,29 +286,29 @@ class Model:
 
         own_tape = tape or T.Tape()
         p = {name: own_tape.parameter(name, v) for name, v in self.params.items()}
+        # an inference pass records only its dense layers, on a tape of its own:
+        # its field layers read their weights off any tape and build no VJP
+        fp = p if tape else {name: T.Tensor(v, name=name) for name, v in self.params.items()}
 
         # [Z, T, X, Y] view of the constant input: the first layer is a conv3d
         # that reads only its occupied voxels, for every fusion mode
-        x = occ.transpose(1, 0, 2, 3)
-        if tape is None:
-            x = T.SparseField.of(x)
+        x = T.SparseField.of(occ.transpose(1, 0, 2, 3))
         for name, _shape, pool in _conv_specs(cfg):
-            w, b = p[f"{name}.w"], p[f"{name}.b"]
-            if name == f"g{SPARSE_GROUPS + 1}.c1" and isinstance(x, T.SparseField):
-                x = x.dense()[:, 0]  # every frame has collapsed by now
+            if name == f"g{SPARSE_GROUPS + 1}.c1":
+                x = _written_out(x)
+            q = fp if isinstance(x, T.SparseField) else p
+            w, b = q[f"{name}.w"], q[f"{name}.b"]
             if name == "g1.c1" and cfg.fusion == "early":
-                w = T.temporal_kernel(w, p["temporal.w"])
+                w = T.temporal_kernel(w, q["temporal.w"])
             if isinstance(x, T.SparseField):
                 x = T.conv3d(x, w, b, spatial_pad=1)
-            elif name == "g1.c1":
-                x = T.conv3d(x, w, b, spatial_pad=1)
-                if x.shape[1] == 1:  # temporal extent collapsed
-                    x = T.reshape(x, (x.shape[0], x.shape[2], x.shape[3]))
-            else:  # late fusion's g1.c2 may still collapse frames, with a 5D kernel
+            else:
                 x = T.conv2d(x, w, b, pad=1)
             x = T.relu(x)
             if pool:
                 x = T.maxpool2d(x)
+        if isinstance(x, T.SparseField):  # every group ran on the field
+            x = _written_out(x)
 
         def head(branch):
             h = T.conv2d(x, p[f"head.{branch}.c.w"], p[f"head.{branch}.c.b"], pad=1)
@@ -321,6 +322,12 @@ class Model:
         if tape is None:
             own_tape.release()
         return out, logits, reg
+
+
+def _written_out(field):
+    """A field as the [C,H,W] Tensor the dense layers take: every frame has collapsed by now."""
+    c, _t, h, w = field.shape
+    return T.reshape(T.write_out(field), (c, h, w))
 
 
 def decode(output: HeadOutput, anchors: AnchorGrid, frame=0, score_thr=0.5, nms_thr=0.1):

@@ -4,11 +4,12 @@ Provides exactly the operators the BEV detection networks need: the one
 dense convolution (conv2d, whose 5D kernel can also collapse the frames of a
 [C,T,H,W] input), the one sparse 3D convolution (conv3d), the early-fusion
 kernel, 2x2 max-pooling, relu, the two loss terms, and Adam. A SparseField
-(never on a tape) holds a background field plus deltas at sparse sites;
-conv3d, relu and maxpool2d compute it only where the sites reach. conv3d has
-one body, the field one: a constant array input (the first layer in
-training) becomes a field of its nonzero sites and the result is written
-out densely. Only operands recorded on the tape receive gradients.
+holds a background field plus deltas at sparse sites; conv3d takes only a
+field, and conv3d, relu and maxpool2d compute it only where the sites reach.
+On a tape a field is two taped tensors, its deltas and its small background,
+and each field op's VJP runs its forward's rules in reverse, so no dense
+gradient exists where a field does. Only operands recorded on the tape
+receive gradients.
 Everything is float64 and single-threaded; tensors are immutable values once
 created.
 """
@@ -97,19 +98,23 @@ def _as_array(x):
     return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
-def _node(y, *operands):
-    """Result ``y`` of an op over ``(operand, grad_fn)`` pairs.
+def _links(*operands):
+    """(tape, parents, VJP) of a result over ``(operand, grad_fn)`` pairs.
 
-    Off any tape the result is a plain Tensor. On a tape its parents are the
-    operands recorded there, and its VJP calls only their ``grad_fn``s, so no
+    Off any tape they are (None, (), None). On a tape the parents are the
+    operands recorded there, and the VJP calls only their ``grad_fn``s, so no
     gradient is computed for constants or for tensors off the tape.
     """
     tape = _result_tape(*(x for x, _ in operands))
     if tape is None:
-        return Tensor(y)
+        return None, (), None
     taped = [(x, fn) for x, fn in operands if isinstance(x, Tensor) and x.tape is tape]
-    parents = tuple(x for x, _ in taped)
-    return Tensor(y, tape=tape, parents=parents, vjp=lambda g: [fn(g) for _, fn in taped])
+    return tape, tuple(x for x, _ in taped), lambda g: [fn(g) for _, fn in taped]
+
+
+def _node(y, *operands):
+    """Result ``y`` of an op over ``(operand, grad_fn)`` pairs, a plain Tensor off any tape (see :func:`_links`)."""
+    return Tensor(y, *_links(*operands))
 
 
 def backward(loss, tape):
@@ -279,33 +284,28 @@ def _tap_cells(site, shape, kernel, pad):
 
 
 def conv3d(x, weights, bias, spatial_pad=0):
-    """Sparse spatio-temporal cross-correlation of a constant [C_in,T,H,W] input.
+    """Sparse spatio-temporal cross-correlation of a [C_in,T,H,W] :class:`SparseField`.
 
     Weights are [C_out,C_in,kT,kH,kW], or [C_out,C_in,kH,kW] for kT = 1.
     Padding applies to H,W only; the temporal extent shrinks by kT-1. The
-    input must not be on a tape, so only the weights and bias get gradients;
-    taped frames collapse through conv2d instead.
-
-    The one body is the :class:`SparseField` one (:func:`_conv3d_field`). A
-    field input gives a field output, off any tape (inference only: no
-    gradient reaches the weights through it). An array input becomes
-    ``SparseField.of(x)``, whose sites are the (t, h, w) cells where any
-    channel is nonzero, and the output field is written out densely (the
-    first layer in training). The weight gradient gathers the output gradient
-    at the output field's sites and runs the same tap rules and row map
-    (gather-GEMM-scatter, as in SECOND's sparse convolution).
+    result is a field (see :func:`_conv3d_field`); a constant array becomes
+    one with ``SparseField.of``, whose sites are the (t, h, w) cells where
+    any channel is nonzero, and a dense taped array collapses its frames
+    through conv2d instead. On a tape the input field, its background, the
+    weights and the bias all get gradients.
     """
     wd, bd = _as_array(weights), _as_array(bias)
-    if isinstance(x, Tensor) and x.tape is not None:
-        raise TensorError("conv3d input must be a constant, not on a tape; conv2d collapses taped frames")
-    xd = x if isinstance(x, SparseField) else _as_array(x)
-    if len(xd.shape) != 4:
-        raise TensorError(f"conv3d input must be [C,T,H,W], got {xd.shape}")
+    if not isinstance(x, SparseField):
+        kind = "taped array" if isinstance(x, Tensor) and x.tape is not None else "array"
+        raise TensorError(f"conv3d takes a SparseField, not a {kind}: SparseField.of makes one of a constant,"
+                          " and conv2d collapses taped frames")
+    if len(x.shape) != 4:
+        raise TensorError(f"conv3d input must be [C,T,H,W], got {x.shape}")
     if wd.ndim not in (4, 5):
         raise TensorError(f"conv3d weights must be [C_out,C_in,kT,kH,kW] or [C_out,C_in,kH,kW], got {wd.shape}")
     w5 = wd if wd.ndim == 5 else wd[:, :, None]
     c_out, c_in, kt, kh, kw = w5.shape
-    c, t, h, w = xd.shape
+    c, t, h, w = x.shape
     if kh % 2 == 0 or kw % 2 == 0:
         raise TensorError(f"conv3d spatial kernel extents must be odd, got {kh}x{kw}")
     if c != c_in:
@@ -316,21 +316,7 @@ def conv3d(x, weights, bias, spatial_pad=0):
         raise TensorError(f"conv3d bias must have shape ({c_out},), got {bd.shape}")
     if h + 2 * spatial_pad < kh or w + 2 * spatial_pad < kw:
         raise TensorError("conv3d spatial kernel exceeds padded input")
-    field = x if isinstance(x, SparseField) else SparseField.of(xd)
-    y, row, taps = _conv3d_field(field, w5, bd, spatial_pad)
-    if field is x:
-        return y
-    feats, out_sites = field.data, y.sites  # the VJP keeps these, not the two fields
-
-    def grad_w(g):
-        # the gradient at the output sites, and a zero column for the cells in the padding
-        gs = np.concatenate([g.reshape(c_out, -1)[:, out_sites], np.zeros((c_out, 1))], axis=1)
-        gw = np.zeros_like(w5)
-        for offset, sites, cell in taps:
-            gw[(slice(None), slice(None)) + offset] = gs[:, row[cell]] @ feats[:, sites].T
-        return gw.reshape(wd.shape)
-
-    return _node(y.dense(), (weights, grad_w), (bias, lambda g: g.sum(axis=(1, 2, 3))))
+    return _conv3d_field(x, weights, bias, w5, spatial_pad)
 
 
 def temporal_kernel(weights, temporal):
@@ -398,18 +384,23 @@ class SparseField(Tensor):
     constant except in a band of cells along each edge, so per axis it is
     held on its smallest exact grid: the band at each end plus one interior
     cell, or the whole axis when that is no shorter (see :func:`_clip_map`).
-    The grid's shape alone says where the band is. Each op recomputes the
-    background from its own weights, so nothing is cached across calls.
+    The grid's shape alone says where the band is. ``background`` is a
+    [C,T,m,k] Tensor that each op recomputes from its own weights, so
+    nothing is cached across calls.
 
     conv3d, relu and maxpool2d take a field and return one, computing only
-    at the sites that an input site reaches; :meth:`dense` writes it out.
-    A field is never on a tape, and every other op rejects it.
+    at the sites that an input site reaches; :meth:`dense` writes it out and
+    :func:`write_out` does so on a tape. Every other op rejects a field. On
+    a tape a field is two taped tensors, its deltas (the field itself) and
+    its background: each field op's VJP runs its forward's rules in reverse,
+    and the background's gradient runs back through the small dense ops that
+    built it. Off any tape a field op records nothing and builds no VJP.
     """
 
     __slots__ = ("full_shape", "sites", "background")
 
-    def __init__(self, deltas, shape, sites, background):
-        super().__init__(deltas)
+    def __init__(self, deltas, shape, sites, background, tape=None, parents=(), vjp=None):
+        super().__init__(deltas, tape, parents, vjp)
         self.full_shape, self.sites, self.background = tuple(shape), sites, background
 
     @classmethod
@@ -421,7 +412,7 @@ class SparseField(Tensor):
         c, t, h, w = xd.shape
         sites = np.flatnonzero(xd.any(axis=0))
         st, sh, sw = _coords(sites, h, w)
-        return cls(xd[:, st, sh, sw], xd.shape, sites, np.zeros((c, t, 1, 1)))
+        return cls(xd[:, st, sh, sw], xd.shape, sites, Tensor(np.zeros((c, t, 1, 1))))
 
     @property
     def shape(self):
@@ -430,12 +421,26 @@ class SparseField(Tensor):
     def dense(self):
         """The [C,T,H,W] array: the background everywhere, plus the deltas at the sites."""
         c, _, h, w = self.full_shape
-        out = _grow(self.background, h, w)
+        out = _grow(self.background.data, h, w)
         out.reshape(c, -1)[:, self.sites] += self.data
         return out
 
     def __repr__(self):
         return f"SparseField(shape={self.shape}, sites={len(self.sites)})"
+
+
+def write_out(x):
+    """The [C,T,H,W] Tensor of a field (:meth:`SparseField.dense`), on the field's tape.
+
+    Its VJP gathers the gradient at the sites for the deltas and sums it onto
+    the background grid along the clip maps for the background.
+    """
+    y = x.dense()
+    bg = x.background
+    if _result_tape(x, bg) is None:
+        return Tensor(y)
+    c, m, k = x.shape[0], *bg.shape[2:]
+    return _node(y, (x, lambda g: g.reshape(c, -1)[:, x.sites]), (bg, lambda g: _shrink(g, m, k)))
 
 
 def _coords(sites, h, w):
@@ -444,10 +449,17 @@ def _coords(sites, h, w):
     return (st, *np.divmod(rest, w))
 
 
-def _background_at(background, size, st, sh, sw):
-    """[C, N] values at N cells, by frame, row and column, of a grid of ``size`` (H, W)."""
-    m, k = background.shape[2:]
-    return background[:, st, _clip_map(size[0], m)[sh], _clip_map(size[1], k)[sw]]
+def _background_cells(shape, size, st, sh, sw):
+    """Flat ids, in a [C,T,m,k] background grid of ``shape``, of cells (frame, row, column) of an H x W ``size``."""
+    m, k = shape[2:]
+    return (st * m + _clip_map(size[0], m)[sh]) * k + _clip_map(size[1], k)[sw]
+
+
+def _scatter(g, cells, shape):
+    """[C, N] values summed onto a [C,T,m,k] grid of ``shape`` at flat ``cells`` ([N] or [C, N]): a gather's VJP."""
+    c, n = shape[0], math.prod(shape[1:])
+    idx = (np.arange(c)[:, None] * n + cells).reshape(-1)
+    return np.bincount(idx, weights=g.reshape(-1), minlength=c * n).reshape(shape)
 
 
 def _clip_map(n, m):
@@ -468,7 +480,21 @@ def _grow(background, h, w):
     return background.take(_clip_map(w, k), axis=3).take(_clip_map(h, m), axis=2)
 
 
-def _conv3d_field(x, w5, bd, pad):
+def _shrink(g, m, k):
+    """The VJP of :func:`_grow`: a [C,T,h,w] gradient summed onto the m x k cells it was read from."""
+    h, w = g.shape[2:]
+    # a clip map rises by 0 or 1 per cell, so each grid cell reads one run of cells
+    rows, cols = (np.searchsorted(_clip_map(n, j), np.arange(j)) for n, j in ((h, m), (w, k)))
+    return np.add.reduceat(np.add.reduceat(g, cols, axis=3), rows, axis=2)
+
+
+def _grown(x, h, w):
+    """:func:`_grow` of a background Tensor."""
+    m, k = x.shape[2:]
+    return _node(_grow(x.data, h, w), (x, lambda g: _shrink(g, m, k)))
+
+
+def _conv3d_field(x, weights, bias, w5, pad):
     """conv3d of a SparseField: the background's conv plus the deltas' sparse conv.
 
     By linearity conv(B + D) = conv(B) + conv(D). conv(B) is conv2d over the
@@ -476,8 +502,9 @@ def _conv3d_field(x, w5, bd, pad):
     widens by ``pad``; conv(D) runs the sparse rules from the input sites into
     the cells they reach, which a dense bool mask collects and a dense index
     map numbers. One GEMM per tap scatters into those rows; a tap's cells
-    that fall in the frame's padding go to a spare row.
-    Returns the output field, that row map and the taps, for the VJP.
+    that fall in the frame's padding go to a spare row. The VJP runs each
+    tap's GEMM transposed, from those rows back to its input sites, and
+    gathers the same rows for the weights (as in SECOND's sparse convolution).
     """
     c_out, _, kt, kh, kw = w5.shape
     _, t, h, w = x.shape
@@ -491,26 +518,68 @@ def _conv3d_field(x, w5, bd, pad):
     row = np.full((t_out, hp, wp), len(out))
     row[inner][mask] = np.arange(len(out))
     row = row.reshape(-1)
+    rows = [row[cell] for _offset, _sites, cell in taps]
     y = np.zeros((c_out, len(out) + 1))
-    for offset, sites, cell in taps:
-        y[:, row[cell]] += w5[(slice(None), slice(None)) + offset] @ x.data[:, sites]
+    for (offset, sites, _cell), r in zip(taps, rows):
+        y[:, r] += w5[(slice(None), slice(None)) + offset] @ x.data[:, sites]
     b = x.background
-    if b.any():
-        b = _grow(b, min(h, b.shape[2] + kh - 1), min(w, b.shape[3] + kw - 1))
-        background = np.stack([conv2d(b[:, to : to + kt], w5, bd, pad).data for to in range(t_out)], axis=1)
-    else:  # an empty input, as at the first layer, convolves to the bias alone: no band
-        background = np.repeat(bd[:, None, None, None], t_out, axis=1)
-    return SparseField(y[:, :-1], (c_out, t_out, oh, ow), out, background), row, taps
+    if b.tape is None and not b.data.any():  # an empty constant input, as at the first layer: the bias alone, no band
+        background = _node(np.repeat(_as_array(bias)[:, None, None, None], t_out, axis=1),
+                           (bias, lambda g: g.sum(axis=(1, 2, 3))))
+    else:
+        b = _grown(b, min(h, b.shape[2] + kh - 1), min(w, b.shape[3] + kw - 1))
+        k5 = reshape(weights, w5.shape)
+        frames = [conv2d(b if kt == t else _frames(b, to, to + kt), k5, bias, pad=pad) for to in range(t_out)]
+        background = _node(np.stack([f.data for f in frames], axis=1),
+                           *((f, lambda g, i=i: g[:, i]) for i, f in enumerate(frames)))
+    shape = (c_out, t_out, oh, ow)
+    tape = _result_tape(x, weights)
+    if tape is None:
+        return SparseField(y[:, :-1], shape, out, background)
+    parents = tuple(v for v in (x, weights) if isinstance(v, Tensor) and v.tape is tape)
+    xd, x_taped, w_shape = x.data, x.tape is tape, _as_array(weights).shape
+
+    def vjp(g):
+        gs = np.concatenate([g, np.zeros((c_out, 1))], axis=1)  # a zero row for the cells in the padding
+        gx, gw = np.zeros_like(xd), np.zeros_like(w5)
+        for (offset, sites, _cell), r in zip(taps, rows):
+            gr, tap = gs[:, r], (slice(None), slice(None)) + offset
+            if x_taped:
+                gx[:, sites] += w5[tap].T @ gr
+            gw[tap] = gr @ xd[:, sites].T
+        return [gx if v is x else gw.reshape(w_shape) for v in parents]
+
+    return SparseField(y[:, :-1], shape, out, background, tape, parents, vjp)
+
+
+def _frames(x, start, stop):
+    """Frames start..stop-1 of a [C,T,H,W] Tensor."""
+    t = x.shape[1]
+    return _node(x.data[:, start:stop], (x, lambda g: np.pad(g, ((0, 0), (start, t - stop), (0, 0), (0, 0)))))
 
 
 def _relu_field(x):
-    b = _background_at(x.background, x.shape[2:], *_coords(x.sites, *x.shape[2:]))
+    bg = x.background
+    cells = _background_cells(bg.shape, x.shape[2:], *_coords(x.sites, *x.shape[2:]))
+    b = bg.data.reshape(x.shape[0], -1)[:, cells]
     deltas = np.maximum(b + x.data, 0.0) - np.maximum(b, 0.0)
-    return SparseField(deltas, x.shape, x.sites, np.maximum(x.background, 0.0))
+    if _result_tape(x, bg) is None:
+        return SparseField(deltas, x.shape, x.sites, relu(bg))
+    on = b + x.data > 0.0
+    # the background cell a site reads moves the delta where the site's gate differs from the background's own
+    gate = on - (b > 0.0).astype(float)
+    return SparseField(deltas, x.shape, x.sites, relu(bg), *_links(
+        (x, lambda g: on * g), (bg, lambda g: _scatter(gate * g, cells, bg.shape))
+    ))
 
 
 def _maxpool_field(x):
-    """maxpool2d of a SparseField, frame by frame: a pooled cell is a site when a child is."""
+    """maxpool2d of a SparseField, frame by frame: a pooled cell is a site when a child is.
+
+    Each pooled site takes its first largest child, in the dense pool's
+    order; the VJP sends its gradient to that child's delta, when the child
+    is a site, and to the background cell the child reads.
+    """
     c, t, h, w = x.shape
     oh, ow = h // 2, w // 2
     st, sh, sw = _coords(x.sites, h, w)
@@ -522,16 +591,35 @@ def _maxpool_field(x):
     row = np.full(t * h * w, len(x.sites))  # the delta column of each cell; a spare zero one off the sites
     row[x.sites] = np.arange(len(x.sites))
     deltas = np.concatenate([x.data, np.zeros((c, 1))], axis=1)
-    best = None
-    for a in (0, 1):
-        for b in (0, 1):
-            ci, cj = 2 * oi + a, 2 * oj + b
-            v = deltas[:, row[(ot * h + ci) * w + cj]] + _background_at(x.background, (h, w), ot, ci, cj)
-            best = v if best is None else np.maximum(best, v)
+    bgd = x.background.data.reshape(c, -1)
+    children = [  # (delta column, background cell) of each child, in the dense pool's order
+        (row[(ot * h + ci) * w + cj], _background_cells(x.background.shape, (h, w), ot, ci, cj))
+        for ci, cj in ((2 * oi + a, 2 * oj + b) for a in (0, 1) for b in (0, 1))
+    ]
+    values = [deltas[:, r] + bgd[:, cells] for r, cells in children]
+    best = np.maximum(np.maximum(values[0], values[1]), np.maximum(values[2], values[3]))
     m, k = (2 * ((n + 1) // 4) + 1 for n in x.background.shape[2:])  # a b-cell band pools to (b + 1) // 2 cells
-    g = _grow(x.background, min(h, 2 * m + h % 2), min(w, 2 * k + w % 2))  # twice that grid, keeping each parity
-    bg = maxpool2d(g.reshape(c * t, *g.shape[2:])).data.reshape(c, t, g.shape[2] // 2, g.shape[3] // 2)
-    return SparseField(best - _background_at(bg, (oh, ow), ot, oi, oj), (c, t, oh, ow), out, bg)
+    g = _grown(x.background, min(h, 2 * m + h % 2), min(w, 2 * k + w % 2))  # twice that grid, keeping each parity
+    gh, gw = g.shape[2:]
+    bg = reshape(maxpool2d(reshape(g, (c * t, gh, gw))), (c, t, gh // 2, gw // 2))
+    pooled = _background_cells(bg.shape, (oh, ow), ot, oi, oj)
+    y = best - bg.data.reshape(c, -1)[:, pooled]
+    if _result_tape(x, x.background) is None:
+        return SparseField(y, (c, t, oh, ow), out, bg)
+    # the first largest child, as the dense pool takes, and its delta column and background cell
+    arg, n = np.argmax(values, axis=0), np.arange(len(out))
+    rows, cells = (np.stack(v)[arg, n] for v in zip(*children))
+
+    def grad_x(gy):
+        gx = np.zeros_like(deltas)
+        gx[np.arange(c)[:, None], rows] = gy  # distinct sites, but for the spare column
+        return gx[:, :-1]
+
+    return SparseField(y, (c, t, oh, ow), out, bg, *_links(
+        (x, grad_x),
+        (x.background, lambda gy: _scatter(gy, cells, x.background.shape)),
+        (bg, lambda gy: -_scatter(gy, pooled, bg.shape)),
+    ))
 
 
 # ---------------------------------------------------------------------------

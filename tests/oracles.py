@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from bevtrack import tensor as T
-from bevtrack import track
+from bevtrack import net, track
 from bevtrack.geom import MIN_INTERSECTION_AREA, RotatedBox, clip_polygon, polygon_area
 
 
@@ -200,3 +200,41 @@ def mul(a, b):
 def tensor_sum(x):
     xd = T._as_array(x)
     return T._node(np.asarray(xd.sum()), (x, lambda g: np.full_like(xd, float(g.reshape(())))))
+
+
+def dense_forward(model, occupancy, tape):
+    """``net.Model.forward`` with every layer dense, recorded on ``tape``: the oracle for its fields.
+
+    Each conv3d runs as conv2d over the kT frames of each output frame, early
+    fusion collapses the frames with :func:`temporal_group_conv`, and no
+    layer keeps a background. Returns the cls logits and the reg Tensor.
+    """
+    cfg = model.config
+    p = {name: tape.parameter(name, v) for name, v in model.params.items()}
+    x = occupancy.transpose(1, 0, 2, 3)  # [Z, T, X, Y]
+    for name, shape, pool in net._conv_specs(cfg):
+        w, b = p[f"{name}.w"], p[f"{name}.b"]
+        if name == "g1.c1" and cfg.fusion == "early":
+            x = T.conv2d(temporal_group_conv(T.Tensor(occupancy), p["temporal.w"]), w, b, pad=1)
+        elif len(shape) == 5:  # frames still to collapse
+            kt, t = shape[2], x.shape[1]
+            frames = [T.conv2d(x if kt == t else x[:, to : to + kt], w, b, pad=1) for to in range(t - kt + 1)]
+            x = frames[0] if len(frames) == 1 else stack_frames(frames)
+        else:
+            x = T.conv2d(x[:, 0] if len(x.shape) == 4 else x, w, b, pad=1)
+        x = T.relu(x)
+        if pool:
+            x = T.maxpool2d(x)
+
+    def head(branch):
+        h = T.relu(T.conv2d(x, p[f"head.{branch}.c.w"], p[f"head.{branch}.c.b"], pad=1))
+        return T.conv2d(h, p[f"head.{branch}.p.w"], p[f"head.{branch}.p.b"], pad=0)
+
+    I, J = cfg.feat_shape
+    return head("cls"), T.reshape(head("reg"), (cfg.num_anchors, cfg.n_out, net.CODE_SIZE, I, J))
+
+
+def stack_frames(frames):
+    """[C,H,W] Tensors stacked into [C,T,H,W]."""
+    return T._node(np.stack([f.data for f in frames], axis=1),
+                   *((f, lambda g, i=i: g[:, i]) for i, f in enumerate(frames)))

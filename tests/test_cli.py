@@ -320,7 +320,7 @@ class TestLoadersFailClosed:
         where = st.one_of(st.integers(0, header_end - 1), st.integers(0, len(data) - 1))
         for pos, mask in draw.draw(st.lists(st.tuples(where, st.integers(1, 255)), min_size=1, max_size=3)):
             data[pos] ^= mask
-        bad = tmp_path / "flipped.bin"
+        bad = Path(tempfile.mkdtemp(dir=tmp_path)) / "flipped.bin"  # a new directory per example, as in byte_flipped
         bad.write_bytes(bytes(data))
         try:
             params, _cfg = T.load_checkpoint(bad)
@@ -328,7 +328,7 @@ class TestLoadersFailClosed:
             params = None
         else:
             assert all(np.isfinite(v).all() for v in params.values())
-        code = run("--config", cfg, "--out", str(tmp_path / "e"), "eval", dataset, str(bad))
+        code = run("--config", cfg, "--out", str(bad.parent / "e"), "eval", dataset, str(bad))
         err = capsys.readouterr().err
         assert code in (0, 1) and (code == 0 or err.startswith("error:"))
         assert params is not None or code == 1
@@ -346,7 +346,7 @@ class TestLoadersFailClosed:
         byte = st.one_of(st.sampled_from(b"0123456789-.e"), st.integers(0, 255))
         for pos, value in draw.draw(st.lists(st.tuples(where, byte), min_size=1, max_size=3)):
             data[pos] = value
-        bad = tmp_path / "flipped.jsonl"
+        bad = Path(tempfile.mkdtemp(dir=tmp_path)) / "flipped.jsonl"  # a new directory per example, as in byte_flipped
         bad.write_bytes(bytes(data))
         try:
             ds = sim.import_dataset(bad)
@@ -362,7 +362,7 @@ class TestLoadersFailClosed:
                 warnings.simplefilter("error")
                 sim.make_samples(ds, cfg.grid, cfg.model.n_in, cfg.model.n_out)
         if draw.draw(st.integers(0, 4)) == 0:  # a few of the files go through training
-            args = ("--set", "train.iterations=1", "--out", str(tmp_path / "t"), "train", str(bad))
+            args = ("--set", "train.iterations=1", "--out", str(bad.parent / "t"), "train", str(bad))
             code = run("--config", cfg_path, *args)
             err = capsys.readouterr().err
             assert code in (0, 1) and (code == 0 or err.startswith("error:"))

@@ -28,7 +28,7 @@ from bevtrack.net import (
 from bevtrack.sim import SimConfig, generate_dataset, make_samples
 from bevtrack.train import TrainConfig, train
 from bevtrack.voxel import GridSpec, InputTensor
-from oracles import greedy_nms, scalar_decode_box, scalar_encode_box
+from oracles import dense_forward, greedy_nms, mul, scalar_decode_box, scalar_encode_box, tensor_sum
 
 
 MICRO_GRID = GridSpec((-1.6, 1.6), (-1.6, 1.6), (0.0, 0.4), 0.2)  # 16x16, Z=2
@@ -297,11 +297,11 @@ class TestForward:
 class TestConvolutionRouting:
     LATER = ("g1.c2", "g2.c1", "g2.c2", "g3.c1", "g3.c2", "g3.c3", "g4.c1", "g4.c2", "g4.c3",
              "head.cls.c", "head.cls.p", "head.reg.c", "head.reg.p")
-    SPARSE = ("g1.c2", "g2.c1", "g2.c2")  # inference runs these on a SparseField
+    SPARSE = ("g1.c2", "g2.c1", "g2.c2")  # these run on a SparseField, after g1.c1
 
     @pytest.mark.parametrize("fusion,n_in", [("late", 5), ("late", 4), ("late", 3), ("late", 1), ("early", 5), ("early", 1)])
     def test_one_sparse_conv3d_then_conv2d_with_named_weights(self, fusion, n_in, monkeypatch):
-        """Training: one conv3d over the occupancy, then conv2d. Inference: conv3d on a SparseField through g2."""
+        """Taped and untaped: conv3d on a SparseField through g2, then conv2d."""
         calls = []
 
         def spy(kind, fn):
@@ -318,23 +318,46 @@ class TestConvolutionRouting:
         for tape in (None, T.Tape()):
             calls.clear()
             model.forward(InputTensor(occ), tape=tape)
-            # a field's background convolves as plain arrays; the layers pass their weight Tensors
-            (kind, x, _w), *rest = [(k, x, w) for k, x, w in calls if isinstance(w, T.Tensor)]
-            assert kind == "conv3d" and type(x) is (np.ndarray if tape else T.SparseField)
-            sparse = self.SPARSE if tape is None else ()
-            assert [k for k, _x, _w in rest] == ["conv3d" if label in sparse else "conv2d" for label in self.LATER]
-            assert [isinstance(x, T.SparseField) for _k, x, _w in rest] == [label in sparse for label in self.LATER]
+            # the layers pass their named weights; a field's background convolves with an unnamed view of them
+            (kind, x, _w), *rest = [calls[0]] + [(k, x, w) for k, x, w in calls[1:] if getattr(w, "name", None)]
+            assert kind == "conv3d" and type(x) is T.SparseField
+            assert [k for k, _x, _w in rest] == ["conv3d" if label in self.SPARSE else "conv2d" for label in self.LATER]
+            assert [isinstance(x, T.SparseField) for _k, x, _w in rest] == [label in self.SPARSE for label in self.LATER]
             assert [w.name for _k, _x, w in rest] == [f"{label}.w" for label in self.LATER]
             assert all(w.shape == model.params[w.name].shape for _k, _x, w in rest)
 
 
 def assert_sparse_matches_dense(model, occ, rtol=1e-12):
-    """Untaped (sparse through g2) against taped (dense) outputs, each within rtol of its largest value."""
-    sparse = model.forward(InputTensor(occ))
-    dense = model.forward(InputTensor(occ), tape=T.Tape())
-    for got, want in zip((sparse[0].cls, sparse[0].reg, sparse[1].data), (dense[0].cls, dense[0].reg, dense[1].data)):
+    """The untaped and taped outputs and every parameter gradient against the dense oracle.
+
+    Each array agrees within rtol of its largest value. The gradients are
+    those of a random weighting of the cls logits and the regression codes.
+    """
+    oracle = T.Tape()
+    cls, reg = dense_forward(model, occ, oracle)
+    rng = np.random.default_rng(0)
+    weights = rng.standard_normal(cls.shape), rng.standard_normal(reg.shape)
+    T.backward(weighted_sum((cls, reg), weights), oracle)
+    tape = T.Tape()
+    taped = model.forward(InputTensor(occ), tape=tape)
+    T.backward(weighted_sum(taped[1:], weights), tape)
+    untaped = model.forward(InputTensor(occ))
+    wants = (T.sigmoid_array(cls.data), reg.data, cls.data)
+    pairs = [(got, want) for out in (untaped, taped) for got, want in zip((out[0].cls, out[0].reg, out[1].data), wants)]
+    assert tape.param_grads.keys() == oracle.param_grads.keys()
+    pairs += [(tape.param_grads[name], grad) for name, grad in oracle.param_grads.items()]
+    for got, want in pairs:
         assert got.shape == want.shape
-        assert np.abs(got - want).max() <= rtol * np.abs(want).max(), np.abs(got - want).max()
+        assert np.abs(got - want).max() <= rtol * np.abs(want).max(), (np.abs(got - want).max(), np.abs(want).max())
+
+
+def weighted_sum(tensors, weights):
+    """sum(w * t) over pairs, as a taped scalar."""
+    loss = None
+    for t, w in zip(tensors, weights):
+        term = tensor_sum(mul(t, T.Tensor(w)))
+        loss = term if loss is None else T.add(loss, term)
+    return loss
 
 
 def with_random_biases(model, seed):
@@ -357,7 +380,7 @@ def edge_input(n_in, nz, nx, ny, seed):
 
 
 class TestSparseInference:
-    """The untaped forward runs g1 and g2 as a SparseField; the taped forward is its dense oracle."""
+    """Model.forward runs the first SPARSE_GROUPS groups as a SparseField, taped or not; oracles.dense_forward is its oracle."""
 
     @pytest.mark.parametrize("fusion,n_in", [("late", 5), ("late", 4), ("late", 3), ("late", 1), ("early", 5), ("early", 1)])
     @pytest.mark.parametrize("cells", [(16, 24), (32, 32), (48, 40), (72, 16)])  # sides below, at and above 32
@@ -380,6 +403,45 @@ class TestSparseInference:
         model = with_random_biases(Model(cfg, seed=n_in), seed=nx)
         for occ in (edge_input(n_in, 2, nx, ny, seed=ny), np.zeros((n_in, 2, nx, ny))):
             assert_sparse_matches_dense(model, occ)
+
+    @pytest.mark.parametrize("fusion,n_in", [("late", 5), ("late", 4), ("late", 1), ("early", 5), ("early", 1)])
+    @pytest.mark.parametrize("cells", [(32, 32), (72, 16), (120, 80)])
+    def test_four_sparse_groups_match_dense(self, fusion, n_in, cells, monkeypatch):
+        """Every group on a field: the field is written out before the heads."""
+        monkeypatch.setattr(net, "SPARSE_GROUPS", 4)
+        nx, ny = cells
+        grid = GridSpec((0.0, 0.2 * nx), (0.0, 0.2 * ny), (0.0, 0.4), 0.2)
+        cfg = micro_config(grid=grid, fusion=fusion, n_in=n_in, widths=(3, 4, 3, 2))
+        model = with_random_biases(Model(cfg, seed=n_in), seed=nx)
+        for occ in (edge_input(n_in, 2, nx, ny, seed=ny), np.zeros((n_in, 2, nx, ny)), np.ones((n_in, 2, nx, ny))):
+            assert_sparse_matches_dense(model, occ)
+
+    @pytest.mark.parametrize("g1_off", [False, True])
+    def test_tied_pool_windows_match_dense(self, g1_off):
+        """Pool windows whose children tie: every bias zero, or random biases and a g1.c1 bias that turns g1's background off.
+
+        The dense pool sends a tied window's gradient to its lowest flat index;
+        the background, pooled on its small grid, may pick a band cell of the
+        same value instead.
+        """
+        grid = GridSpec((0.0, 9.6), (0.0, 8.0), (0.0, 0.4), 0.2)  # 48 x 40 cells
+        model = Model(micro_config(grid=grid, n_in=5, widths=(3, 4, 3, 2)), seed=3)
+        if g1_off:
+            model = with_random_biases(model, seed=5)
+            model.params["g1.c1.b"] = np.full(3, -0.5)
+            model.params["g1.c2.b"] = np.abs(model.params["g1.c2.b"])
+        occ = edge_input(5, 2, 48, 40, seed=4)
+        field = T.SparseField.of(occ.transpose(1, 0, 2, 3))
+        for name in ("g1.c1", "g1.c2"):
+            field = T.relu(T.conv3d(field, model.params[f"{name}.w"], model.params[f"{name}.b"], spatial_pad=1))
+        # g1's output off the sites is the relu of g1.c2's bias alone: zero, or positive and tied in the edge band too
+        assert np.array_equal(field.background.data, np.maximum(model.params["g1.c2.b"], 0.0)[:, None, None, None]
+                              * np.ones(field.background.shape))
+        windows = field.dense()[:, 0].reshape(3, 24, 2, 20, 2)
+        top = windows.max(axis=(2, 4))
+        tied = (windows == top[:, :, None, :, None]).sum(axis=(2, 4)) > 1
+        assert tied.any() and not tied.all() and (tied & (top > 0.0)).any() == g1_off
+        assert_sparse_matches_dense(model, occ)
 
     def test_matches_dense_on_a_trained_checkpoint(self, tmp_path):
         grid = GridSpec((-4.8, 4.8), (-4.0, 4.0), (0.0, 1.6), 0.2)  # 48 x 40 cells

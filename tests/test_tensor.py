@@ -9,7 +9,7 @@ import pytest
 
 from bevtrack import tensor as T
 from bevtrack.tensor import TensorError
-from oracles import mul, sigmoid, temporal_group_conv, tensor_sum
+from oracles import stack_frames, mul, sigmoid, temporal_group_conv, tensor_sum
 
 
 def naive_conv2d(x, w, b, pad):
@@ -208,25 +208,25 @@ class TestConv3d:
         x = rng.standard_normal((2, 5, 6, 6))
         w = rng.standard_normal((2, 2, 3, 3, 3))
         b = np.zeros(2)
-        y1 = T.conv3d(T.Tensor(x), T.Tensor(w), T.Tensor(b), spatial_pad=1)
-        assert y1.data.shape[1] == 3
+        y1 = T.conv3d(T.SparseField.of(x), T.Tensor(w), T.Tensor(b), spatial_pad=1)
+        assert y1.shape[1] == 3
         y2 = T.conv3d(y1, T.Tensor(w), T.Tensor(b), spatial_pad=1)
-        assert y2.data.shape[1] == 1
+        assert y2.shape[1] == 1 and y2.dense().shape == (2, 1, 6, 6)
 
     def test_zero_input_gives_bias(self):
         x = np.zeros((1, 3, 4, 4))
         w = np.ones((2, 1, 3, 3, 3))
         b = np.array([0.5, -1.0])
-        y = T.conv3d(T.Tensor(x), T.Tensor(w), T.Tensor(b), spatial_pad=1)
-        assert np.all(y.data[0] == 0.5) and np.all(y.data[1] == -1.0)
+        y = T.conv3d(T.SparseField.of(x), T.Tensor(w), T.Tensor(b), spatial_pad=1).dense()
+        assert np.all(y[0] == 0.5) and np.all(y[1] == -1.0)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((2, 4, 5, 5))
         w = rng.standard_normal((3, 2, 3, 3, 3))
         b = rng.standard_normal(3)
-        y = T.conv3d(T.Tensor(x), T.Tensor(w), T.Tensor(b), spatial_pad=1)
-        np.testing.assert_allclose(y.data, naive_conv3d(x, w, b, 1), atol=1e-12)
+        y = T.conv3d(T.SparseField.of(x), T.Tensor(w), T.Tensor(b), spatial_pad=1).dense()
+        np.testing.assert_allclose(y, naive_conv3d(x, w, b, 1), atol=1e-12)
 
     @pytest.mark.parametrize("pad", [0, 1, 2, 3])
     def test_constant_sparse_input_matches_loop_oracle_at_any_padding(self, pad):
@@ -235,7 +235,7 @@ class TestConv3d:
         w = rng.standard_normal((3, 2, 2, 3, 3))
         b = rng.standard_normal(3)
         tape = T.Tape()
-        y = T.conv3d(x, tape.parameter("w", w), b, spatial_pad=pad)
+        y = dense_conv3d(x, tape.parameter("w", w), b, pad)
         np.testing.assert_allclose(y.data, naive_conv3d(x, w, b, pad), rtol=0, atol=1e-12)
         g = rng.standard_normal(y.shape)
         T.backward(tensor_sum(mul(y, T.Tensor(g))), tape)
@@ -244,7 +244,7 @@ class TestConv3d:
 
     def test_insufficient_temporal_context(self):
         with pytest.raises(TensorError, match="temporal"):
-            T.conv3d(T.Tensor(np.zeros((1, 2, 4, 4))), T.Tensor(np.zeros((1, 1, 3, 3, 3))), T.Tensor([0.0]))
+            T.conv3d(T.SparseField.of(np.zeros((1, 2, 4, 4))), T.Tensor(np.zeros((1, 1, 3, 3, 3))), T.Tensor([0.0]))
 
     def test_gradients(self):
         # only the weights and bias are taped: the input is a constant
@@ -256,7 +256,7 @@ class TestConv3d:
         def f(arrays):
             w, b = arrays
             tape = T.Tape()
-            y = T.conv3d(x, tape.parameter("w", w), tape.parameter("b", b), 1)
+            y = dense_conv3d(x, tape.parameter("w", w), tape.parameter("b", b), 1)
             loss = tensor_sum(mul(y, y))
             val = loss.item()
             T.backward(loss, tape)
@@ -349,6 +349,11 @@ def taped_loss(y, g):
     return tensor_sum(mul(y, T.Tensor(g)))
 
 
+def dense_conv3d(x, w, b, pad):
+    """conv3d of a constant [C,T,H,W] array, written out as a Tensor on the weights' tape."""
+    return T.write_out(T.conv3d(T.SparseField.of(x), w, b, spatial_pad=pad))
+
+
 class TestFirstLayer:
     """conv3d over a constant occupancy (occupied sites only) against dense oracles."""
 
@@ -365,7 +370,7 @@ class TestFirstLayer:
         w, b = tape.parameter("w", w0), tape.parameter("b", b0)
         if kt is None:  # a single frame: the network lifts the 2D kernel to kT = 1
             w = T.reshape(w, (3, 2, 1, 3, 3))
-        y = T.conv3d(occ.transpose(1, 0, 2, 3), w, b, spatial_pad=1)
+        y = dense_conv3d(occ.transpose(1, 0, 2, 3), w, b, 1)
         g = rng.standard_normal(y.shape)
         T.backward(taped_loss(y, g), tape)
         x = occ.transpose(1, 0, 2, 3)
@@ -379,9 +384,9 @@ class TestFirstLayer:
         x = np.zeros((2, 1, 4, 4))
         x[0, 0, 1, 2], x[1, 0, 1, 2] = 1.0, -1.0
         w = np.random.default_rng(9).standard_normal((2, 2, 1, 3, 3))
-        y = T.conv3d(x, w, np.zeros(2), spatial_pad=1)
-        assert_close_relative(y.data, naive_conv3d(x, w, np.zeros(2), 1))
-        assert np.any(y.data)
+        y = T.conv3d(T.SparseField.of(x), w, np.zeros(2), spatial_pad=1).dense()
+        assert_close_relative(y, naive_conv3d(x, w, np.zeros(2), 1))
+        assert np.any(y)
 
     def test_matches_the_dense_taped_path(self):
         # taped frames collapse through conv2d: each output frame of the sparse
@@ -391,7 +396,7 @@ class TestFirstLayer:
         w0, b0 = rng.standard_normal((4, 2, 3, 3, 3)), rng.standard_normal(4)
         g = rng.standard_normal((4, 3, 6, 7))
         tape = T.Tape()
-        y = T.conv3d(x, tape.parameter("w", w0), tape.parameter("b", b0), spatial_pad=1)
+        y = dense_conv3d(x, tape.parameter("w", w0), tape.parameter("b", b0), 1)
         T.backward(taped_loss(y, g), tape)
         dense = T.Tape()
         w, b = dense.parameter("w", w0), dense.parameter("b", b0)
@@ -430,7 +435,7 @@ class TestFirstLayer:
     def _check_early(self, occ, w0, b0, tw0, rng, skip=()):
         tape = T.Tape()
         w, b, tw = tape.parameter("w", w0), tape.parameter("b", b0), tape.parameter("t", tw0)
-        y = T.conv3d(occ.transpose(1, 0, 2, 3), T.temporal_kernel(w, tw), b, spatial_pad=1)
+        y = dense_conv3d(occ.transpose(1, 0, 2, 3), T.temporal_kernel(w, tw), b, 1)
         assert y.shape[1] == 1
         g = rng.standard_normal(y.shape)
         T.backward(taped_loss(y, g), tape)
@@ -457,12 +462,18 @@ class TestFirstLayer:
             w = T.temporal_kernel(tape.parameter("w", rng.standard_normal((3, 2, 3, 3))), tape.parameter("t", np.ones(n_in)))
         else:
             w = tape.parameter("w", rng.standard_normal((3, 2, min(n_in, 3), 3, 3)))
-        y = T.conv3d(occ.transpose(1, 0, 2, 3), w, b, spatial_pad=1)
+        y = dense_conv3d(occ.transpose(1, 0, 2, 3), w, b, 1)
         assert np.array_equal(y.data, np.broadcast_to(b0[:, None, None, None], y.shape))
         T.backward(taped_loss(y, rng.standard_normal(y.shape)), tape)
         for name, grad in tape.param_grads.items():
             if name != "b":
                 assert not np.any(grad), name
+
+
+def frames(x, start, stop):
+    """Frames start..stop-1 of a [C,T,H,W] Tensor, recorded on its tape."""
+    pad = ((0, 0), (start, x.shape[1] - stop), (0, 0), (0, 0))
+    return T._node(x.data[:, start:stop], (x, lambda g: np.pad(g, pad)))
 
 
 def frame_by_frame_conv3d(x, w5, b, pad):
@@ -493,6 +504,55 @@ class TestSparseField:
                 assert_close_relative(field.dense(), dense)
         assert 0 < len(field.sites) < np.prod(field.shape[1:])
 
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    def test_gradients_match_dense_ops(self, pad):
+        """On a tape: the weights' and biases' gradients through conv3d, relu, maxpool2d and write_out.
+
+        The second convolution reads two of four frames over a nonzero
+        background, so each of its output frames convolves its own window of it.
+        """
+        rng = np.random.default_rng(70 + pad)
+        x = rng.standard_normal((2, 4, 44, 27)) * (rng.random((2, 4, 44, 27)) < 0.01)
+        x[:, 0, [0, 0, 43, 43, 20], [0, 26, 0, 26, 0]] = 1.0
+        shapes = [(3, 2, 3, 3), (3, 3, 2, 3, 3), (2, 3, 3, 3, 3)]
+        values = {f"w{i}": rng.standard_normal(s) for i, s in enumerate(shapes)}
+        values.update({f"b{i}": rng.uniform(-1.0, 1.0, s[0]) for i, s in enumerate(shapes)})
+
+        def field_net(p):
+            y = T.relu(T.conv3d(T.SparseField.of(x), p["w0"], p["b0"], spatial_pad=pad))
+            y = T.maxpool2d(T.relu(T.conv3d(y, p["w1"], p["b1"], spatial_pad=pad)))
+            return T.write_out(T.relu(T.conv3d(y, p["w2"], p["b2"], spatial_pad=pad)))
+
+        def dense_net(p):  # conv2d frame by frame
+            y = T.relu(stack_frames([T.conv2d(x[:, t], p["w0"], p["b0"], pad=pad) for t in range(4)]))
+            y = T.relu(stack_frames([T.conv2d(frames(y, t, t + 2), p["w1"], p["b1"], pad=pad) for t in range(3)]))
+            c, t, h, w = y.shape
+            y = T.reshape(T.maxpool2d(T.reshape(y, (c * t, h, w))), (c, t, h // 2, w // 2))
+            y = T.relu(T.conv2d(y, p["w2"], p["b2"], pad=pad))
+            return T.reshape(y, (2, 1) + y.shape[1:])
+
+        results, g = [], None
+        for net in (field_net, dense_net):
+            tape = T.Tape()
+            y = net({k: tape.parameter(k, v) for k, v in values.items()})
+            g = rng.standard_normal(y.shape) if g is None else g
+            T.backward(taped_loss(y, g), tape)
+            results.append((y.data, tape.param_grads))
+        (got, grads), (want, oracle) = results
+        assert_close_relative(got, want)
+        for name, grad in oracle.items():
+            assert_close_relative(grads[name], grad)
+
+    def test_off_any_tape_no_node_and_no_vjp(self):
+        x = np.zeros((2, 3, 9, 8))
+        x[:, 1, [0, 4, 8], [7, 3, 0]] = 1.0
+        field = T.SparseField.of(x)
+        for w in (np.ones((2, 2, 3, 3, 3)), np.ones((2, 2, 3, 3))):
+            field = T.maxpool2d(T.relu(T.conv3d(field, w, np.full(2, 0.5), spatial_pad=1)))
+            for t in (field, field.background):
+                assert t.tape is None and t._vjp is None and t._parents == ()
+        assert T.write_out(field).tape is None
+
     def test_other_ops_reject_a_field(self):
         field = T.SparseField.of(np.ones((1, 1, 4, 4)))
         with pytest.raises(TensorError, match="dense"):
@@ -516,9 +576,10 @@ class TestSparseField:
         assert field.background.shape[2:] == ((17, 17) if bias else (1, 1))  # a band of 15 cells pools to 8
 
     def test_kernel_exceeding_the_padded_input_rejected_as_for_an_array(self):
-        for x in (np.zeros((1, 1, 2, 2)), T.SparseField.of(np.zeros((1, 1, 2, 2)))):
-            with pytest.raises(TensorError, match="exceeds padded input"):
-                T.conv3d(x, np.ones((1, 1, 3, 3)), np.zeros(1), 0)
+        with pytest.raises(TensorError, match="exceeds padded input"):
+            T.conv2d(np.zeros((1, 2, 2)), np.ones((1, 1, 3, 3)), np.zeros(1), 0)
+        with pytest.raises(TensorError, match="exceeds padded input"):
+            T.conv3d(T.SparseField.of(np.zeros((1, 1, 2, 2))), np.ones((1, 1, 3, 3)), np.zeros(1), 0)
 
     def test_pool_window_exceeding_the_input_rejected_as_for_an_array(self):
         with pytest.raises(TensorError, match="window 2 exceeds input 1x3"):
@@ -760,13 +821,14 @@ class TestBackward:
     def test_off_tape_operand_gets_no_gradient(self):
         rng = np.random.default_rng(14)
         tape = T.Tape()
-        x = T.Tensor(rng.standard_normal((1, 3, 4, 4)))
+        x = T.SparseField.of(rng.standard_normal((1, 3, 4, 4)))
         w = tape.parameter("w", rng.standard_normal((2, 1, 3, 3, 3)))
         b = tape.parameter("b", rng.standard_normal(2))
-        y = T.conv3d(x, w, b, spatial_pad=1)
+        field = T.conv3d(x, w, b, spatial_pad=1)
+        y = T.write_out(field)
         T.backward(tensor_sum(mul(y, y)), tape)
-        assert x.grad is None
-        assert y._parents == (w, b)
+        assert x.grad is None and x.background.grad is None
+        assert field._parents == (w,) and field.background._parents == (b,)
         assert tape.param_grads["w"].shape == w.shape and np.any(tape.param_grads["w"])
 
     def test_operands_on_two_tapes_rejected(self):

@@ -1,13 +1,14 @@
 """Minimal dense tensor library with reverse-mode automatic differentiation.
 
 Provides exactly the operators the BEV detection networks need: the one
-dense convolution (conv2d, whose 5D kernel can also collapse the frames of a
-[C,T,H,W] input), the one sparse 3D convolution (conv3d), the early-fusion
-kernel, 2x2 max-pooling, relu, the two loss terms, and Adam. A SparseField
-holds a background field plus deltas at sparse sites; conv3d takes only a
-field, and conv3d, relu and maxpool2d compute it only where the sites reach.
-On a tape a field is two taped tensors, its deltas and its small background,
-and each field op's VJP runs its forward's rules in reverse, so no dense
+dense convolution (conv2d, [C,H,W] only), the one sparse 3D convolution
+(conv3d), the early-fusion kernel, 2x2 max-pooling, relu, the two loss terms,
+and Adam. A SparseField holds a background plane plus deltas at sparse sites;
+conv3d takes only a field, and conv3d, relu and maxpool2d compute it only
+where the sites reach. The background is the same in every frame, so it is
+one [C,m,k] plane and each field op runs the ordinary dense op on it. On a
+tape a field is two taped tensors, its deltas and its background plane, and
+each field op's VJP runs its forward's rules in reverse, so no dense
 gradient exists where a field does. Only operands recorded on the tape
 receive gradients.
 Everything is float64 and single-threaded; tensors are immutable values once
@@ -196,57 +197,56 @@ def reshape(x, shape):
 def conv2d(x, weights, bias, pad=0):
     """Cross-correlation of [C_in,H,W] with [C_out,C_in,kH,kW] plus bias.
 
-    A [C_in,T,H,W] input takes a [C_out,C_in,T,kH,kW] kernel that spans all
-    T frames, so time collapses; [C_in,H,W] is the T = 1 case. Each kernel
-    tap adds one GEMM of its [C_out,C_in] weight slice with a contiguous
-    window of the flattened frame, zero-padded once, so the output rows come
-    out at the padded width and their last kW-1 cells, which wrap into the
-    next row, are cropped. A spare row keeps the last tap's window inside the
-    frame. The VJPs reuse the windows, with the gradient zero in the crop.
+    Each kernel tap adds one GEMM of its [C_out,C_in] weight slice with a
+    contiguous window of the flattened input, zero-padded once, so the output
+    rows come out at the padded width and their last kW-1 cells, which wrap
+    into the next row, are cropped. A spare row keeps the last tap's window
+    inside the input. The VJPs reuse the windows, with the gradient zero in
+    the crop.
     """
     xd, wd, bd = _as_array(x), _as_array(weights), _as_array(bias)
-    if (xd.ndim, wd.ndim) not in ((3, 4), (4, 5)):
-        raise TensorError(
-            "conv2d takes [C,H,W] with [C_out,C_in,kH,kW] weights or [C,T,H,W] with"
-            f" [C_out,C_in,T,kH,kW] weights, got {xd.shape} and {wd.shape}"
-        )
-    c_out, c_in, kh, kw = wd.shape[:2] + wd.shape[-2:]
-    t = wd.shape[2] if wd.ndim == 5 else 1
+    if xd.ndim != 3 or wd.ndim != 4:
+        raise TensorError(f"conv2d takes [C,H,W] with [C_out,C_in,kH,kW] weights, got {xd.shape} and {wd.shape}")
+    c_out, c_in, kh, kw = wd.shape
     if kh % 2 == 0 or kw % 2 == 0:
         raise TensorError(f"conv2d kernel extents must be odd, got {kh}x{kw}")
     if xd.shape[0] != c_in:
         raise TensorError(f"conv2d channel mismatch: input C={xd.shape[0]}, weights C_in={c_in}")
-    if xd.ndim == 4 and xd.shape[1] != t:
-        raise TensorError(f"conv2d kernel spans T={t} frames, input has T={xd.shape[1]}")
     if bd.shape != (c_out,):
         raise TensorError(f"conv2d bias must have shape ({c_out},), got {bd.shape}")
-    h, w = xd.shape[-2:]
+    h, w = xd.shape[1:]
     hp, wp = h + 2 * pad, w + 2 * pad
     if hp < kh or wp < kw:
         raise TensorError(f"conv2d kernel {kh}x{kw} exceeds padded input {hp}x{wp}")
     oh, ow = hp - kh + 1, wp - kw + 1
     n = oh * wp  # cells in one window, and in the output at the padded width
-    xp = np.pad(xd.reshape(c_in, t, h, w), ((0, 0), (0, 0), (pad, pad + 1), (pad, pad))).reshape(c_in, t, -1)
-    w5 = wd.reshape(c_out, c_in, t, kh, kw)
-    taps = [(k, i, j, i * wp + j) for k in range(t) for i in range(kh) for j in range(kw)]
+    xp = np.zeros((c_in, hp + 1, wp))
+    xp[:, pad : pad + h, pad : pad + w] = xd
+    xp = xp.reshape(c_in, -1)
+    taps = [(i, j, i * wp + j) for i in range(kh) for j in range(kw)]
     yp = np.zeros((c_out, n))
-    for k, i, j, s in taps:
-        yp += w5[:, :, k, i, j] @ xp[:, k, s : s + n]
+    for i, j, s in taps:
+        yp += wd[:, :, i, j] @ xp[:, s : s + n]
     y = yp.reshape(c_out, oh, wp)[:, :, :ow] + bd[:, None, None]
 
+    def padded(g):  # the output gradient at the padded width, zero in the crop
+        gp = np.zeros((c_out, oh, wp))
+        gp[:, :, :ow] = g
+        return gp.reshape(c_out, n)
+
     def grad_x(g):
-        gp = np.pad(g, ((0, 0), (0, 0), (0, kw - 1))).reshape(c_out, n)
+        gp = padded(g)
         gx = np.zeros_like(xp)
-        for k, i, j, s in taps:
-            gx[:, k, s : s + n] += w5[:, :, k, i, j].T @ gp
-        return gx.reshape(c_in, t, hp + 1, wp)[:, :, pad : pad + h, pad : pad + w].reshape(xd.shape)
+        for i, j, s in taps:
+            gx[:, s : s + n] += wd[:, :, i, j].T @ gp
+        return gx.reshape(c_in, hp + 1, wp)[:, pad : pad + h, pad : pad + w]
 
     def grad_w(g):
-        gp = np.pad(g, ((0, 0), (0, 0), (0, kw - 1))).reshape(c_out, n)
-        gw = np.empty_like(w5)
-        for k, i, j, s in taps:
-            gw[:, :, k, i, j] = gp @ xp[:, k, s : s + n].T
-        return gw.reshape(wd.shape)
+        gp = padded(g)
+        gw = np.empty_like(wd)
+        for i, j, s in taps:
+            gw[:, :, i, j] = gp @ xp[:, s : s + n].T
+        return gw
 
     return _node(
         y,
@@ -288,17 +288,14 @@ def conv3d(x, weights, bias, spatial_pad=0):
 
     Weights are [C_out,C_in,kT,kH,kW], or [C_out,C_in,kH,kW] for kT = 1.
     Padding applies to H,W only; the temporal extent shrinks by kT-1. The
-    result is a field (see :func:`_conv3d_field`); a constant array becomes
-    one with ``SparseField.of``, whose sites are the (t, h, w) cells where
-    any channel is nonzero, and a dense taped array collapses its frames
-    through conv2d instead. On a tape the input field, its background, the
-    weights and the bias all get gradients.
+    result is a field (see :func:`_conv3d_field`). Any array is rejected:
+    ``SparseField.of`` makes a field of a constant one. On a tape the input
+    field, its background, the weights and the bias all get gradients.
     """
     wd, bd = _as_array(weights), _as_array(bias)
     if not isinstance(x, SparseField):
         kind = "taped array" if isinstance(x, Tensor) and x.tape is not None else "array"
-        raise TensorError(f"conv3d takes a SparseField, not a {kind}: SparseField.of makes one of a constant,"
-                          " and conv2d collapses taped frames")
+        raise TensorError(f"conv3d takes a SparseField, not a {kind}: SparseField.of makes one of a constant")
     if len(x.shape) != 4:
         raise TensorError(f"conv3d input must be [C,T,H,W], got {x.shape}")
     if wd.ndim not in (4, 5):
@@ -376,17 +373,18 @@ def maxpool2d(x):
 
 
 class SparseField(Tensor):
-    """A [C,T,H,W] value held as a background field plus deltas at sparse sites.
+    """A [C,T,H,W] value held as a background plane plus deltas at sparse sites.
 
     ``data`` is [C, S]: the deltas at ``sites``, the ascending flat ids of
     their cells in the [T,H,W] grid. Every other cell holds the background,
-    the value the same ops give an all-zero input. The background is
-    constant except in a band of cells along each edge, so per axis it is
-    held on its smallest exact grid: the band at each end plus one interior
-    cell, or the whole axis when that is no shorter (see :func:`_clip_map`).
-    The grid's shape alone says where the band is. ``background`` is a
-    [C,T,m,k] Tensor that each op recomputes from its own weights, so
-    nothing is cached across calls.
+    the value the same ops give an all-zero input. Every frame of that input
+    is the same, so the background is the same in every frame, and it is
+    constant except in a band of cells along each edge. It is held as one
+    plane on its smallest exact grid: per axis the band at each end plus one
+    interior cell, or the whole axis when that is no shorter (see
+    :func:`_clip_map`). The grid's shape alone says where the band is.
+    ``background`` is a [C,m,k] Tensor that each op recomputes from its own
+    weights, so nothing is cached across calls.
 
     conv3d, relu and maxpool2d take a field and return one, computing only
     at the sites that an input site reaches; :meth:`dense` writes it out and
@@ -409,19 +407,19 @@ class SparseField(Tensor):
         xd = np.asarray(x, dtype=np.float64)
         if xd.ndim != 4:
             raise TensorError(f"a sparse field is [C,T,H,W], got {xd.shape}")
-        c, t, h, w = xd.shape
+        c, _, h, w = xd.shape
         sites = np.flatnonzero(xd.any(axis=0))
         st, sh, sw = _coords(sites, h, w)
-        return cls(xd[:, st, sh, sw], xd.shape, sites, Tensor(np.zeros((c, t, 1, 1))))
+        return cls(xd[:, st, sh, sw], xd.shape, sites, Tensor(np.zeros((c, 1, 1))))
 
     @property
     def shape(self):
         return self.full_shape
 
     def dense(self):
-        """The [C,T,H,W] array: the background everywhere, plus the deltas at the sites."""
-        c, _, h, w = self.full_shape
-        out = _grow(self.background.data, h, w)
+        """The [C,T,H,W] array: the background plane in every frame, plus the deltas at the sites."""
+        c, t, h, w = self.full_shape
+        out = np.repeat(_grow(self.background.data, h, w)[:, None], t, axis=1)
         out.reshape(c, -1)[:, self.sites] += self.data
         return out
 
@@ -432,15 +430,16 @@ class SparseField(Tensor):
 def write_out(x):
     """The [C,T,H,W] Tensor of a field (:meth:`SparseField.dense`), on the field's tape.
 
-    Its VJP gathers the gradient at the sites for the deltas and sums it onto
-    the background grid along the clip maps for the background.
+    Its VJP gathers the gradient at the sites for the deltas, and sums it over
+    the frames and onto the background grid along the clip maps for the
+    background.
     """
     y = x.dense()
     bg = x.background
     if _result_tape(x, bg) is None:
         return Tensor(y)
-    c, m, k = x.shape[0], *bg.shape[2:]
-    return _node(y, (x, lambda g: g.reshape(c, -1)[:, x.sites]), (bg, lambda g: _shrink(g, m, k)))
+    c, (m, k) = x.shape[0], bg.shape[1:]
+    return _node(y, (x, lambda g: g.reshape(c, -1)[:, x.sites]), (bg, lambda g: _shrink(g.sum(axis=1), m, k)))
 
 
 def _coords(sites, h, w):
@@ -449,14 +448,14 @@ def _coords(sites, h, w):
     return (st, *np.divmod(rest, w))
 
 
-def _background_cells(shape, size, st, sh, sw):
-    """Flat ids, in a [C,T,m,k] background grid of ``shape``, of cells (frame, row, column) of an H x W ``size``."""
-    m, k = shape[2:]
-    return (st * m + _clip_map(size[0], m)[sh]) * k + _clip_map(size[1], k)[sw]
+def _background_cells(shape, size, sh, sw):
+    """Flat ids, in a [C,m,k] background grid of ``shape``, of cells (row, column) of an H x W ``size``."""
+    m, k = shape[1:]
+    return _clip_map(size[0], m)[sh] * k + _clip_map(size[1], k)[sw]
 
 
 def _scatter(g, cells, shape):
-    """[C, N] values summed onto a [C,T,m,k] grid of ``shape`` at flat ``cells`` ([N] or [C, N]): a gather's VJP."""
+    """[C, N] values summed onto a [C,m,k] grid of ``shape`` at flat ``cells`` ([N] or [C, N]): a gather's VJP."""
     c, n = shape[0], math.prod(shape[1:])
     idx = (np.arange(c)[:, None] * n + cells).reshape(-1)
     return np.bincount(idx, weights=g.reshape(-1), minlength=c * n).reshape(shape)
@@ -474,37 +473,43 @@ def _clip_map(n, m):
 
 
 def _grow(background, h, w):
-    """A [C,T,m,k] background on an h x w grid (h >= m, w >= k), along the clip maps."""
-    m, k = background.shape[2:]
+    """A [C,m,k] background plane on an h x w grid (h >= m, w >= k), along the clip maps."""
+    m, k = background.shape[1:]
     # columns first: the row take then copies whole rows
-    return background.take(_clip_map(w, k), axis=3).take(_clip_map(h, m), axis=2)
+    return background.take(_clip_map(w, k), axis=2).take(_clip_map(h, m), axis=1)
 
 
 def _shrink(g, m, k):
-    """The VJP of :func:`_grow`: a [C,T,h,w] gradient summed onto the m x k cells it was read from."""
-    h, w = g.shape[2:]
+    """The VJP of :func:`_grow`: a [C,h,w] gradient summed onto the m x k cells it was read from."""
+    h, w = g.shape[1:]
     # a clip map rises by 0 or 1 per cell, so each grid cell reads one run of cells
     rows, cols = (np.searchsorted(_clip_map(n, j), np.arange(j)) for n, j in ((h, m), (w, k)))
-    return np.add.reduceat(np.add.reduceat(g, cols, axis=3), rows, axis=2)
+    return np.add.reduceat(np.add.reduceat(g, cols, axis=2), rows, axis=1)
 
 
 def _grown(x, h, w):
     """:func:`_grow` of a background Tensor."""
-    m, k = x.shape[2:]
+    m, k = x.shape[1:]
     return _node(_grow(x.data, h, w), (x, lambda g: _shrink(g, m, k)))
+
+
+def _frame_sum(weights, w5):
+    """A [C_out,C_in,kT,kH,kW] kernel summed over its frames: by linearity, the conv2d kernel of a background plane."""
+    return _node(w5.sum(axis=2), (weights, lambda g: np.broadcast_to(g[:, :, None], w5.shape).reshape(weights.shape)))
 
 
 def _conv3d_field(x, weights, bias, w5, pad):
     """conv3d of a SparseField: the background's conv plus the deltas' sparse conv.
 
-    By linearity conv(B + D) = conv(B) + conv(D). conv(B) is conv2d over the
-    background grown by kernel - 1 cells per axis, with the bias, so its band
-    widens by ``pad``; conv(D) runs the sparse rules from the input sites into
-    the cells they reach, which a dense bool mask collects and a dense index
-    map numbers. One GEMM per tap scatters into those rows; a tap's cells
-    that fall in the frame's padding go to a spare row. The VJP runs each
-    tap's GEMM transposed, from those rows back to its input sites, and
-    gathers the same rows for the weights (as in SECOND's sparse convolution).
+    By linearity conv(B + D) = conv(B) + conv(D). conv(B) is one conv2d of the
+    background plane grown by kernel - 1 cells per axis, with the kernel
+    summed over its frames and the bias, so its band widens by ``pad``;
+    conv(D) runs the sparse rules from the input sites into the cells they
+    reach, which a dense bool mask collects and a dense index map numbers.
+    One GEMM per tap scatters into those rows; a tap's cells that fall in the
+    frame's padding go to a spare row. The VJP runs each tap's GEMM
+    transposed, from those rows back to its input sites, and gathers the same
+    rows for the weights (as in SECOND's sparse convolution).
     """
     c_out, _, kt, kh, kw = w5.shape
     _, t, h, w = x.shape
@@ -524,14 +529,10 @@ def _conv3d_field(x, weights, bias, w5, pad):
         y[:, r] += w5[(slice(None), slice(None)) + offset] @ x.data[:, sites]
     b = x.background
     if b.tape is None and not b.data.any():  # an empty constant input, as at the first layer: the bias alone, no band
-        background = _node(np.repeat(_as_array(bias)[:, None, None, None], t_out, axis=1),
-                           (bias, lambda g: g.sum(axis=(1, 2, 3))))
+        background = _node(_as_array(bias)[:, None, None], (bias, lambda g: g.sum(axis=(1, 2))))
     else:
-        b = _grown(b, min(h, b.shape[2] + kh - 1), min(w, b.shape[3] + kw - 1))
-        k5 = reshape(weights, w5.shape)
-        frames = [conv2d(b if kt == t else _frames(b, to, to + kt), k5, bias, pad=pad) for to in range(t_out)]
-        background = _node(np.stack([f.data for f in frames], axis=1),
-                           *((f, lambda g, i=i: g[:, i]) for i, f in enumerate(frames)))
+        b = _grown(b, min(h, b.shape[1] + kh - 1), min(w, b.shape[2] + kw - 1))
+        background = conv2d(b, _frame_sum(weights, w5), bias, pad=pad)
     shape = (c_out, t_out, oh, ow)
     tape = _result_tape(x, weights)
     if tape is None:
@@ -552,15 +553,9 @@ def _conv3d_field(x, weights, bias, w5, pad):
     return SparseField(y[:, :-1], shape, out, background, tape, parents, vjp)
 
 
-def _frames(x, start, stop):
-    """Frames start..stop-1 of a [C,T,H,W] Tensor."""
-    t = x.shape[1]
-    return _node(x.data[:, start:stop], (x, lambda g: np.pad(g, ((0, 0), (start, t - stop), (0, 0), (0, 0)))))
-
-
 def _relu_field(x):
     bg = x.background
-    cells = _background_cells(bg.shape, x.shape[2:], *_coords(x.sites, *x.shape[2:]))
+    cells = _background_cells(bg.shape, x.shape[2:], *_coords(x.sites, *x.shape[2:])[1:])
     b = bg.data.reshape(x.shape[0], -1)[:, cells]
     deltas = np.maximum(b + x.data, 0.0) - np.maximum(b, 0.0)
     if _result_tape(x, bg) is None:
@@ -578,7 +573,8 @@ def _maxpool_field(x):
 
     Each pooled site takes its first largest child, in the dense pool's
     order; the VJP sends its gradient to that child's delta, when the child
-    is a site, and to the background cell the child reads.
+    is a site, and to the background cell the child reads. The background
+    plane is pooled once, with the dense pool.
     """
     c, t, h, w = x.shape
     oh, ow = h // 2, w // 2
@@ -593,16 +589,14 @@ def _maxpool_field(x):
     deltas = np.concatenate([x.data, np.zeros((c, 1))], axis=1)
     bgd = x.background.data.reshape(c, -1)
     children = [  # (delta column, background cell) of each child, in the dense pool's order
-        (row[(ot * h + ci) * w + cj], _background_cells(x.background.shape, (h, w), ot, ci, cj))
+        (row[(ot * h + ci) * w + cj], _background_cells(x.background.shape, (h, w), ci, cj))
         for ci, cj in ((2 * oi + a, 2 * oj + b) for a in (0, 1) for b in (0, 1))
     ]
     values = [deltas[:, r] + bgd[:, cells] for r, cells in children]
     best = np.maximum(np.maximum(values[0], values[1]), np.maximum(values[2], values[3]))
-    m, k = (2 * ((n + 1) // 4) + 1 for n in x.background.shape[2:])  # a b-cell band pools to (b + 1) // 2 cells
-    g = _grown(x.background, min(h, 2 * m + h % 2), min(w, 2 * k + w % 2))  # twice that grid, keeping each parity
-    gh, gw = g.shape[2:]
-    bg = reshape(maxpool2d(reshape(g, (c * t, gh, gw))), (c, t, gh // 2, gw // 2))
-    pooled = _background_cells(bg.shape, (oh, ow), ot, oi, oj)
+    m, k = (2 * ((n + 1) // 4) + 1 for n in x.background.shape[1:])  # a b-cell band pools to (b + 1) // 2 cells
+    bg = maxpool2d(_grown(x.background, min(h, 2 * m + h % 2), min(w, 2 * k + w % 2)))  # twice that grid, by parity
+    pooled = _background_cells(bg.shape, (oh, ow), oi, oj)
     y = best - bg.data.reshape(c, -1)[:, pooled]
     if _result_tape(x, x.background) is None:
         return SparseField(y, (c, t, oh, ow), out, bg)

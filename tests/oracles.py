@@ -205,9 +205,10 @@ def tensor_sum(x):
 def dense_forward(model, occupancy, tape):
     """``net.Model.forward`` with every layer dense, recorded on ``tape``: the oracle for its fields.
 
-    Each conv3d runs as conv2d over the kT frames of each output frame, early
-    fusion collapses the frames with :func:`temporal_group_conv`, and no
-    layer keeps a background. Returns the cls logits and the reg Tensor.
+    Each conv3d runs as :func:`conv2d_frames` over the kT frames of each
+    output frame, early fusion collapses the frames with
+    :func:`temporal_group_conv`, and no layer keeps a background. Returns the
+    cls logits and the reg Tensor.
     """
     cfg = model.config
     p = {name: tape.parameter(name, v) for name, v in model.params.items()}
@@ -218,7 +219,8 @@ def dense_forward(model, occupancy, tape):
             x = T.conv2d(temporal_group_conv(T.Tensor(occupancy), p["temporal.w"]), w, b, pad=1)
         elif len(shape) == 5:  # frames still to collapse
             kt, t = shape[2], x.shape[1]
-            frames = [T.conv2d(x if kt == t else x[:, to : to + kt], w, b, pad=1) for to in range(t - kt + 1)]
+            frames = [conv2d_frames(x if kt == t else take(x, np.s_[:, to : to + kt]), w, b, pad=1)
+                      for to in range(t - kt + 1)]
             x = frames[0] if len(frames) == 1 else stack_frames(frames)
         else:
             x = T.conv2d(x[:, 0] if len(x.shape) == 4 else x, w, b, pad=1)
@@ -232,6 +234,35 @@ def dense_forward(model, occupancy, tape):
 
     I, J = cfg.feat_shape
     return head("cls"), T.reshape(head("reg"), (cfg.num_anchors, cfg.n_out, net.CODE_SIZE, I, J))
+
+
+def conv2d_frames(x, weights, bias, pad=0):
+    """Cross-correlation of [C_in,T,H,W] with a [C_out,C_in,T,kH,kW] kernel that spans all T frames, so time collapses.
+
+    One ``T.conv2d`` per frame, summed with ``T.add``, the bias added once:
+    the dense oracle for one output frame of a field's conv3d. Records on the
+    tape like the ops in ``bevtrack.tensor``.
+    """
+    xd, wd = T._as_array(x), T._as_array(weights)
+    if xd.ndim != 4 or wd.ndim != 5 or xd.shape[1] != wd.shape[2]:
+        raise T.TensorError(f"conv2d_frames takes [C,T,H,W] with a kernel spanning its T frames, got {xd.shape} and {wd.shape}")
+    zero = np.zeros(wd.shape[0])
+    y = T.conv2d(take(x, np.s_[:, 0]), take(weights, np.s_[:, :, 0]), bias, pad=pad)
+    for t in range(1, xd.shape[1]):
+        y = T.add(y, T.conv2d(take(x, np.s_[:, t]), take(weights, np.s_[:, :, t]), zero, pad=pad))
+    return y
+
+
+def take(x, index):
+    """``x[index]`` of an array or Tensor, recorded on its tape; the VJP puts the gradient back in place."""
+    xd = T._as_array(x)
+
+    def grad(g):
+        gx = np.zeros_like(xd)
+        gx[index] = g
+        return gx
+
+    return T._node(xd[index], (x, grad))
 
 
 def stack_frames(frames):

@@ -123,12 +123,16 @@ def test_c01_gradient_suite():
         ),
     )
 
-    # the same convolution collapsing three frames with a 5D kernel
+    # a field convolution collapsing three frames over a nonzero background,
+    # whose kernel is summed over its frames to convolve the background plane
+    occ3 = rng.standard_normal((2, 3, 4, 4)) * (rng.random((2, 3, 4, 4)) < 0.3)
     worst = max(
         worst,
         _fd_check(
-            _op_graph(lambda a, w, b: tensor_sum(mul(c := T.conv2d(a, w, b, pad=1), c))),
-            [rng.standard_normal((2, 3, 4, 4)), rng.standard_normal((2, 2, 3, 3, 3)), rng.standard_normal(2)],
+            _op_graph(lambda w0, b0, w, b: tensor_sum(mul(c := T.write_out(
+                T.conv3d(T.relu(T.conv3d(T.SparseField.of(occ3), w0, b0, 1)), w, b, 1)), c))),
+            [rng.standard_normal((2, 2, 3, 3)), rng.uniform(0.2, 1.0, 2),
+             rng.standard_normal((2, 2, 3, 3, 3)), rng.uniform(0.2, 1.0, 2)],
         ),
     )
 

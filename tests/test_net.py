@@ -435,7 +435,7 @@ class TestSparseInference:
         for name in ("g1.c1", "g1.c2"):
             field = T.relu(T.conv3d(field, model.params[f"{name}.w"], model.params[f"{name}.b"], spatial_pad=1))
         # g1's output off the sites is the relu of g1.c2's bias alone: zero, or positive and tied in the edge band too
-        assert np.array_equal(field.background.data, np.maximum(model.params["g1.c2.b"], 0.0)[:, None, None, None]
+        assert np.array_equal(field.background.data, np.maximum(model.params["g1.c2.b"], 0.0)[:, None, None]
                               * np.ones(field.background.shape))
         windows = field.dense()[:, 0].reshape(3, 24, 2, 20, 2)
         top = windows.max(axis=(2, 4))
@@ -464,7 +464,7 @@ class TestSparseInference:
         for name in ("g1.c1", "g1.c2"):
             field = T.relu(T.conv3d(field, model.params[f"{name}.w"], model.params[f"{name}.b"], spatial_pad=1))
         assert len(field.sites) == 0
-        assert field.background.shape == (2, 1, 3, 3)  # a band of one cell per padded convolution after the first
+        assert field.background.shape == (2, 3, 3)  # a band of one cell per padded convolution after the first
         assert_sparse_matches_dense(model, np.zeros((5, 2, 48, 32)))
 
 

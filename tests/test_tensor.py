@@ -9,7 +9,7 @@ import pytest
 
 from bevtrack import tensor as T
 from bevtrack.tensor import TensorError
-from oracles import stack_frames, mul, sigmoid, temporal_group_conv, tensor_sum
+from oracles import conv2d_frames, mul, sigmoid, stack_frames, take, temporal_group_conv, tensor_sum
 
 
 def naive_conv2d(x, w, b, pad):
@@ -104,13 +104,14 @@ class TestConv2d:
 
     @pytest.mark.parametrize("frames,pad", [(1, 0), (1, 1), (2, 1), (3, 0)])
     def test_oracle_shapes_up_to_4488(self, frames, pad):
-        # one frame is a [C,H,W] input; more frames collapse through a kernel spanning them
+        # one frame is a [C,H,W] input; more frames collapse through conv2d_frames, the field convolution's oracle
         rng = np.random.default_rng(frames * 10 + pad)
+        conv = T.conv2d if frames == 1 else conv2d_frames
         for _ in range(3):
             x = rng.standard_normal((4, 8, 8) if frames == 1 else (4, frames, 8, 8))
             w = rng.standard_normal((4, 4, 3, 3) if frames == 1 else (4, 4, frames, 3, 3))
             b = rng.standard_normal(4)
-            y = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b), pad=pad)
+            y = conv(T.Tensor(x), T.Tensor(w), T.Tensor(b), pad=pad)
             want = naive_conv2d(x, w, b, pad) if frames == 1 else naive_conv3d(x, w, b, pad)[:, 0]
             np.testing.assert_allclose(y.data, want, atol=1e-12)
 
@@ -142,11 +143,10 @@ class TestConv2d:
 
         finite_diff_check(f, [x0, w0, b0])
 
-    def test_frame_count_must_match_the_kernel(self):
-        with pytest.raises(TensorError, match="T=3"):
-            T.conv2d(T.Tensor(np.zeros((1, 4, 4, 4))), T.Tensor(np.zeros((1, 1, 3, 3, 3))), T.Tensor([0.0]))
-        with pytest.raises(TensorError, match=r"\[C,T,H,W\]"):
-            T.conv2d(T.Tensor(np.zeros((1, 4, 4))), T.Tensor(np.zeros((1, 1, 1, 3, 3))), T.Tensor([0.0]))
+    def test_frames_and_5d_kernels_rejected(self):
+        for xshape, wshape in (((1, 3, 4, 4), (1, 1, 3, 3, 3)), ((1, 3, 4, 4), (1, 1, 3, 3)), ((1, 4, 4), (1, 1, 1, 3, 3))):
+            with pytest.raises(TensorError, match=r"\[C,H,W\] with \[C_out,C_in,kH,kW\]"):
+                T.conv2d(T.Tensor(np.zeros(xshape)), T.Tensor(np.zeros(wshape)), T.Tensor([0.0]))
 
     def test_frame_gradients(self):
         rng = np.random.default_rng(5)
@@ -157,7 +157,7 @@ class TestConv2d:
         def f(arrays):
             x, w, b = arrays
             tape = T.Tape()
-            y = T.conv2d(tape.parameter("x", x), tape.parameter("w", w), tape.parameter("b", b), pad=1)
+            y = conv2d_frames(tape.parameter("x", x), tape.parameter("w", w), tape.parameter("b", b), pad=1)
             loss = tensor_sum(mul(y, y))
             val = loss.item()
             T.backward(loss, tape)
@@ -185,7 +185,8 @@ class TestConv2d:
         x0 = rng.standard_normal((2, h, w) if frames == 1 else (2, frames, h, w))
         w0 = rng.standard_normal((3, 2, kh, kw) if frames == 1 else (3, 2, frames, kh, kw))
         b0 = rng.standard_normal(3)
-        y = T.conv2d(x0, w0, b0, pad=pad)
+        conv = T.conv2d if frames == 1 else conv2d_frames
+        y = conv(x0, w0, b0, pad=pad)
         want = naive_conv2d(x0, w0, b0, pad) if frames == 1 else naive_conv3d(x0, w0, b0, pad)[:, 0]
         assert y.shape == want.shape
         np.testing.assert_allclose(y.data, want, rtol=0, atol=1e-12)
@@ -193,7 +194,7 @@ class TestConv2d:
         def f(arrays):
             tape = T.Tape()
             xt, wt, bt = (tape.parameter(name, a) for name, a in zip("xwb", arrays))
-            y = T.conv2d(xt, wt, bt, pad=pad)
+            y = conv(xt, wt, bt, pad=pad)
             loss = tensor_sum(mul(y, y))
             val = loss.item()
             T.backward(loss, tape)
@@ -389,8 +390,8 @@ class TestFirstLayer:
         assert np.any(y)
 
     def test_matches_the_dense_taped_path(self):
-        # taped frames collapse through conv2d: each output frame of the sparse
-        # conv3d equals conv2d over the kT frames it reads
+        # each output frame of the sparse conv3d equals the dense convolution
+        # over the kT frames it reads
         rng = np.random.default_rng(8)
         x = first_layer_input(5, seed=8).transpose(1, 0, 2, 3)
         w0, b0 = rng.standard_normal((4, 2, 3, 3, 3)), rng.standard_normal(4)
@@ -400,7 +401,7 @@ class TestFirstLayer:
         T.backward(taped_loss(y, g), tape)
         dense = T.Tape()
         w, b = dense.parameter("w", w0), dense.parameter("b", b0)
-        frames = [T.conv2d(x[:, to : to + 3], w, b, pad=1) for to in range(3)]
+        frames = [conv2d_frames(x[:, to : to + 3], w, b, pad=1) for to in range(3)]
         loss = taped_loss(frames[0], g[:, 0])
         for to in (1, 2):
             loss = T.add(loss, taped_loss(frames[to], g[:, to]))
@@ -470,16 +471,10 @@ class TestFirstLayer:
                 assert not np.any(grad), name
 
 
-def frames(x, start, stop):
-    """Frames start..stop-1 of a [C,T,H,W] Tensor, recorded on its tape."""
-    pad = ((0, 0), (start, x.shape[1] - stop), (0, 0), (0, 0))
-    return T._node(x.data[:, start:stop], (x, lambda g: np.pad(g, pad)))
-
-
 def frame_by_frame_conv3d(x, w5, b, pad):
-    """conv3d of a dense [C,T,H,W] array through conv2d, one output frame at a time."""
+    """conv3d of a dense [C,T,H,W] array through conv2d_frames, one output frame at a time."""
     kt = w5.shape[2]
-    return np.stack([T.conv2d(x[:, to : to + kt], w5, b, pad).data for to in range(x.shape[1] - kt + 1)], axis=1)
+    return np.stack([conv2d_frames(x[:, to : to + kt], w5, b, pad).data for to in range(x.shape[1] - kt + 1)], axis=1)
 
 
 class TestSparseField:
@@ -509,7 +504,7 @@ class TestSparseField:
         """On a tape: the weights' and biases' gradients through conv3d, relu, maxpool2d and write_out.
 
         The second convolution reads two of four frames over a nonzero
-        background, so each of its output frames convolves its own window of it.
+        background, which its kernel summed over its frames convolves once.
         """
         rng = np.random.default_rng(70 + pad)
         x = rng.standard_normal((2, 4, 44, 27)) * (rng.random((2, 4, 44, 27)) < 0.01)
@@ -525,10 +520,10 @@ class TestSparseField:
 
         def dense_net(p):  # conv2d frame by frame
             y = T.relu(stack_frames([T.conv2d(x[:, t], p["w0"], p["b0"], pad=pad) for t in range(4)]))
-            y = T.relu(stack_frames([T.conv2d(frames(y, t, t + 2), p["w1"], p["b1"], pad=pad) for t in range(3)]))
+            y = T.relu(stack_frames([conv2d_frames(take(y, np.s_[:, t : t + 2]), p["w1"], p["b1"], pad=pad) for t in range(3)]))
             c, t, h, w = y.shape
             y = T.reshape(T.maxpool2d(T.reshape(y, (c * t, h, w))), (c, t, h // 2, w // 2))
-            y = T.relu(T.conv2d(y, p["w2"], p["b2"], pad=pad))
+            y = T.relu(conv2d_frames(y, p["w2"], p["b2"], pad=pad))
             return T.reshape(y, (2, 1) + y.shape[1:])
 
         results, g = [], None
@@ -542,6 +537,43 @@ class TestSparseField:
         assert_close_relative(got, want)
         for name, grad in oracle.items():
             assert_close_relative(grads[name], grad)
+
+    def test_background_convolves_once_as_one_plane(self, monkeypatch):
+        """A kT = 2 convolution over 4 frames convolves the nonzero background once, with one [C,m,k] conv2d."""
+        rng = np.random.default_rng(80)
+        x = rng.standard_normal((2, 4, 9, 8)) * (rng.random((2, 4, 9, 8)) < 0.1)
+        field = T.relu(T.conv3d(T.SparseField.of(x), rng.standard_normal((3, 2, 3, 3)), rng.uniform(0.2, 1.0, 3), 1))
+        calls, conv2d = [], T.conv2d
+
+        def spy(x, w, b, **kw):
+            calls.append(T._as_array(x).ndim)
+            return conv2d(x, w, b, **kw)
+
+        monkeypatch.setattr(T, "conv2d", spy)
+        w, b = rng.standard_normal((2, 3, 2, 3, 3)), rng.standard_normal(2)
+        y = T.conv3d(field, w, b, spatial_pad=1)
+        assert calls == [3] and y.shape[1] == 3
+        assert_close_relative(y.dense(), frame_by_frame_conv3d(field.dense(), w, b, 1))
+
+    def test_every_background_is_one_plane(self):
+        """On a tape, through conv3d, relu, maxpool2d and write_out: every background is [C,m,k]."""
+        rng = np.random.default_rng(81)
+        x = rng.standard_normal((2, 4, 20, 15)) * (rng.random((2, 4, 20, 15)) < 0.05)
+        tape = T.Tape()
+        field, dense = T.SparseField.of(x), x
+        for i, wshape in enumerate([(3, 2, 3, 3), (3, 3, 2, 3, 3), (2, 3, 3, 3, 3)]):
+            w, b = rng.standard_normal(wshape), rng.uniform(-1.0, 1.0, wshape[0])
+            field = T.conv3d(field, tape.parameter(f"w{i}", w), tape.parameter(f"b{i}", b), spatial_pad=1)
+            dense = frame_by_frame_conv3d(dense, w if w.ndim == 5 else w[:, :, None], b, 1)
+            steps = [(field, dense), (field := T.relu(field), dense := np.maximum(dense, 0.0))]
+            if i < 2:
+                c, t, h, w = dense.shape
+                dense = T.maxpool2d(dense.reshape(c * t, h, w)).data.reshape(c, t, h // 2, w // 2)
+                steps.append((field := T.maxpool2d(field), dense))
+            for f, d in steps:
+                assert f.background.data.ndim == 3 and f.background.shape[0] == f.shape[0]
+                assert_close_relative(f.dense(), d, rtol=1e-12)
+        assert_close_relative(T.write_out(field).data, dense, rtol=1e-12)
 
     def test_off_any_tape_no_node_and_no_vjp(self):
         x = np.zeros((2, 3, 9, 8))
@@ -570,10 +602,10 @@ class TestSparseField:
             dense = frame_by_frame_conv3d(dense, w[:, :, None], b, 1)
         assert_close_relative(field.dense(), dense)
         # 2 * 15 + 1 cells: the first convolution of a zero background is the bias alone
-        assert field.background.shape[2:] == ((31, 31) if bias else (1, 1))
+        assert field.background.shape[1:] == ((31, 31) if bias else (1, 1))
         field, dense = T.maxpool2d(field), T.maxpool2d(dense[:, 0]).data[:, None]
         assert_close_relative(field.dense(), dense)
-        assert field.background.shape[2:] == ((17, 17) if bias else (1, 1))  # a band of 15 cells pools to 8
+        assert field.background.shape[1:] == ((17, 17) if bias else (1, 1))  # a band of 15 cells pools to 8
 
     def test_kernel_exceeding_the_padded_input_rejected_as_for_an_array(self):
         with pytest.raises(TensorError, match="exceeds padded input"):

@@ -2,6 +2,10 @@
 
 Box sets are ``[..., 5]`` arrays of (cx, cy, w, h, theta); ``iou`` broadcasts
 over them and clips only the pairs whose bounding circles meet.
+``iou_bound`` bounds ``iou`` from above without clipping, and
+``near_pairs`` lists a set's pairs whose bounding circles may meet without
+an N x N array, so a caller that only asks whether an IoU reaches a
+threshold clips only the pairs the bound leaves open.
 """
 
 from __future__ import annotations
@@ -15,6 +19,9 @@ import numpy as np
 # boxes never register as overlapping.
 MIN_INTERSECTION_AREA = 1e-12
 _HYPOT_TOL = 1e-12  # relative; see iou
+# relative to the coordinates' magnitude: covers the rounding of the clip
+# and of the bounds; see iou_bound and near_pairs
+_BOUND_TOL = 1e-12
 
 
 def wrap_angle(theta):
@@ -124,8 +131,9 @@ class BoxSet:
     Built from a RotatedBox, a list of them or an array-like; thetas are
     wrapped as RotatedBox wraps them. Indexing selects boxes over the leading
     axes, like the array, and shares what was computed. ``data`` holds each
-    box's five numbers, radius, area and its index into the ``rows`` and
-    ``corners`` tuples, which the scalar clipping of :func:`iou` reads.
+    box's five numbers, radius, area, its index into the ``rows`` and
+    ``corners`` tuples, which the scalar clipping of :func:`iou` reads, and
+    the cosine and sine of its heading.
     Tuples of floats, unlike lists, drop out of the cyclic GC's scans.
     """
 
@@ -155,7 +163,7 @@ class BoxSet:
         ], axis=-1).tolist()
         self.corners = tuple(tuple(zip(c[0::2], c[1::2])) for c in corners)
         index = np.arange(len(flat))
-        self.data = np.column_stack([flat, radius, w * h, index]).reshape(arr.shape[:-1] + (8,))
+        self.data = np.column_stack([flat, radius, w * h, index, c, s]).reshape(arr.shape[:-1] + (10,))
 
     def __getitem__(self, key):
         sub = object.__new__(BoxSet)
@@ -192,6 +200,63 @@ def iou(a, b):
             _pair_iou(a.rows[i], a.corners[i], b.rows[j], b.corners[j]) for i, j in zip(ia.tolist(), ib.tolist())
         ]
     return out.reshape(shape) if shape else float(out[0])
+
+
+def iou_bound(a, b):
+    """An upper bound on :func:`iou` that clips nothing, broadcast like it.
+
+    A box's intersection with the other lies within either box and within
+    its overlap with the other's bounding rectangle in its own frame (the
+    separating-axis test along the four box axes, as in OBBTree). Each side
+    of that overlap gets a slack of ``_BOUND_TOL`` times the pair's
+    coordinate magnitude, and the area its square, so the bound stays above
+    the value the clip computes with rounding. A pair separated along a box
+    axis by more than that slack reads 0.
+    """
+    a, b = (x if isinstance(x, BoxSet) else BoxSet(x) for x in (a, b))
+    da, db = a.data, b.data
+    dx, dy = db[..., 0] - da[..., 0], db[..., 1] - da[..., 1]
+    scale = np.maximum(np.abs(da[..., :2]).max(axis=-1), np.abs(db[..., :2]).max(axis=-1)) + da[..., 5] + db[..., 5]
+    slack = _BOUND_TOL * scale
+    ca, sa, cb, sb = da[..., 8], da[..., 9], db[..., 8], db[..., 9]
+    rc, rs = np.abs(ca * cb + sa * sb), np.abs(ca * sb - sa * cb)  # of the heading difference
+
+    def overlap(side, extent, offset):  # of two intervals of these lengths whose centres lie offset apart
+        return np.maximum(np.minimum(np.minimum(side, extent), 0.5 * (side + extent) - np.abs(offset)) + slack, 0.0)
+
+    inter = np.minimum(da[..., 6], db[..., 6])
+    for p, q, c, s in ((da, db, ca, sa), (db, da, cb, sb)):
+        # p's sides against the sides of q's bounding rectangle in p's frame
+        along = overlap(p[..., 3], rc * q[..., 3] + rs * q[..., 2], c * dx + s * dy)
+        across = overlap(p[..., 2], rs * q[..., 3] + rc * q[..., 2], c * dy - s * dx)
+        inter = np.minimum(inter, along * across)
+    inter = np.where(inter > 0.0, inter + slack * scale, 0.0)
+    union = da[..., 6] + db[..., 6] - inter
+    return np.divide(inter, union, out=np.full(inter.shape, np.inf), where=union > 0.0)
+
+
+def near_pairs(boxes):
+    """Index arrays ``(i, j)``, ``i < j``, of the pairs of a flat box set whose bounding circles may meet.
+
+    Every pair that :func:`iou` clips is among them. One stable sort of the
+    left ends of the x-extents and one ``searchsorted`` list the pairs whose
+    x-extents overlap, so no N x N array is built; their circles then
+    decide. Each radius is widened by ``_BOUND_TOL`` of the box's coordinate
+    magnitude, so rounding never drops a pair.
+    """
+    boxes = boxes if isinstance(boxes, BoxSet) else BoxSet(boxes)
+    d = boxes.data
+    r = d[:, 5] + _BOUND_TOL * (np.abs(d[:, 0]) + np.abs(d[:, 1]) + d[:, 5])
+    by_lo = np.argsort(d[:, 0] - r, kind="stable")
+    cx, cy, r = d[by_lo, 0], d[by_lo, 1], r[by_lo]
+    # sorted position k overlaps the counts[k] positions after it
+    past = np.arange(1, len(d) + 1)
+    counts = np.searchsorted(cx - r, cx + r, side="right") - past
+    first = np.repeat(past - 1, counts)
+    second = np.arange(len(first)) - np.repeat(np.cumsum(counts) - counts - past, counts)
+    near = np.hypot(cx[first] - cx[second], cy[first] - cy[second]) <= r[first] + r[second]
+    i, j = by_lo[first[near]], by_lo[second[near]]
+    return np.minimum(i, j), np.maximum(i, j)
 
 
 def _pair_iou(a, a_corners, b, b_corners):

@@ -104,13 +104,14 @@ def _links(*operands):
 
     Off any tape they are (None, (), None). On a tape the parents are the
     operands recorded there, and the VJP calls only their ``grad_fn``s, so no
-    gradient is computed for constants or for tensors off the tape.
+    gradient is computed for constants or for tensors off the tape. Any
+    arguments after the gradient are passed on to each ``grad_fn``.
     """
     tape = _result_tape(*(x for x, _ in operands))
     if tape is None:
         return None, (), None
     taped = [(x, fn) for x, fn in operands if isinstance(x, Tensor) and x.tape is tape]
-    return tape, tuple(x for x, _ in taped), lambda g: [fn(g) for _, fn in taped]
+    return tape, tuple(x for x, _ in taped), lambda g, *shared: [fn(g, *shared) for _, fn in taped]
 
 
 def _node(y, *operands):
@@ -234,26 +235,23 @@ def conv2d(x, weights, bias, pad=0):
         gp[:, :, :ow] = g
         return gp.reshape(c_out, n)
 
-    def grad_x(g):
-        gp = padded(g)
+    def grad_x(_g, gp):
         gx = np.zeros_like(xp)
         for i, j, s in taps:
             gx[:, s : s + n] += wd[:, :, i, j].T @ gp
         return gx.reshape(c_in, hp + 1, wp)[:, pad : pad + h, pad : pad + w]
 
-    def grad_w(g):
-        gp = padded(g)
+    def grad_w(_g, gp):
         gw = np.empty_like(wd)
         for i, j, s in taps:
             gw[:, :, i, j] = gp @ xp[:, s : s + n].T
         return gw
 
-    return _node(
-        y,
-        (x, grad_x),
-        (weights, grad_w),
-        (bias, lambda g: g.reshape(c_out, oh * ow).sum(axis=1)),
+    # both VJPs read one padded gradient, built per call and dropped with it
+    tape, parents, vjp = _links(
+        (x, grad_x), (weights, grad_w), (bias, lambda g, _gp: g.reshape(c_out, oh * ow).sum(axis=1))
     )
+    return Tensor(y, tape, parents, vjp and (lambda g: vjp(g, padded(g))))
 
 
 def _tap_cells(site, shape, kernel, pad):

@@ -3,8 +3,11 @@
 Each frame's candidates are the current detections plus every buffered past
 detection's forecast for this frame. Overlapping candidates are greedily
 grouped and their boxes averaged; a group sustained only by forecasts coasts
-through occlusion for a bounded number of frames. A frame-to-frame Hungarian
-tracker over raw detections serves as the comparison baseline.
+through occlusion for a bounded number of frames. Grouping only asks whether
+an IoU reaches ``MATCH_THR``, so a frame clips, in one ``iou`` call, only the
+pairs whose bounding circles meet and whose clip-free ``geom.iou_bound``
+reaches it. A frame-to-frame Hungarian tracker over raw detections serves as
+the comparison baseline.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geom import BoxSet, RotatedBox, iou
+from .geom import BoxSet, RotatedBox, iou, iou_bound, near_pairs
 from .net import DetectionSet
 
 LIVE = "live"
@@ -23,6 +26,7 @@ COASTING = "coasting"
 MATCH_THR = 0.5  # IoU that joins a candidate to a group
 SCORE_DECAY = 0.9  # per frame of a forecast's age
 ASSOC_THR = 0.1  # least IoU of a Hungarian match
+BOUND_CHUNK = 2048  # pairs per iou_bound call, so its temporaries stay small
 
 
 @dataclass
@@ -54,7 +58,14 @@ class TrackletDecoder:
         self._next_id = 0
 
     def step(self, detections: DetectionSet, frame):
-        """Consume one frame; returns the tracklet records emitted at it."""
+        """Consume one frame; returns the tracklet records emitted at it.
+
+        The candidates are ordered by score once, and each one's joins (the
+        later candidates it overlaps at ``MATCH_THR`` or more) come from at
+        most one ``iou`` call, over the pairs that :func:`_join_lists` leaves
+        open. The best candidate not yet grouped then leads a group of its
+        joins not yet grouped, in score order.
+        """
         if self._frame is not None and frame <= self._frame:
             raise ValueError(f"frame {frame} does not come after frame {self._frame}")
         self._frame = frame
@@ -65,16 +76,19 @@ class TrackletDecoder:
             if age < len(boxes):  # a gap in the frames can pass a forecast's reach
                 candidates.append((boxes[age], score * SCORE_DECAY**age, tid, None))
 
-        frame_boxes = BoxSet([c[0] for c in candidates])
-        live = np.argsort([-c[1] for c in candidates], kind="stable")
+        order = np.argsort([-c[1] for c in candidates], kind="stable")
+        candidates = [candidates[i] for i in order]
+        joins = _join_lists([c[0] for c in candidates])
+        grouped = [False] * len(candidates)
         claimed = set()  # ids emitted at this frame; groups claim them in score order
         emitted = []
-        while len(live):
-            # the best candidate left leads a group of every later one it overlaps enough
-            i, live = live[0], live[1:]
-            joins = iou(frame_boxes[i], frame_boxes[live]) >= MATCH_THR
-            group = [candidates[j] for j in [i, *live[joins]]]
-            live = live[~joins]
+        for i in range(len(candidates)):
+            if grouped[i]:
+                continue
+            members = [i, *(j for j in joins[i] if not grouped[j])]
+            for j in members:
+                grouped[j] = True
+            group = [candidates[j] for j in members]
             free = [tid for _box, _score, tid, _boxes in group if tid >= 0 and tid not in claimed]
             current = [(boxes, score) for _box, score, _tid, boxes in group if boxes is not None]
             if free:
@@ -94,6 +108,29 @@ class TrackletDecoder:
         # keep the live emissions whose forecasts reach the next frame
         self._buffer = [e for e in self._buffer if frame + 1 - e[0] < len(e[2])]
         return emitted
+
+
+def _join_lists(boxes):
+    """For each of a frame's boxes, in score order, the later ones it overlaps at ``MATCH_THR`` or more, ascending.
+
+    Only the pairs whose bounding circles may meet and whose clip-free bound
+    reaches the threshold are clipped, in one ``iou`` call.
+    """
+    joins = [[] for _ in boxes]
+    if len(boxes) < 2:
+        return joins
+    boxes = BoxSet(boxes)
+    lead, other = near_pairs(boxes)
+    open_ = np.zeros(len(lead), dtype=bool)
+    for k in range(0, len(lead), BOUND_CHUNK):
+        part = slice(k, k + BOUND_CHUNK)
+        open_[part] = iou_bound(boxes[lead[part]], boxes[other[part]]) >= MATCH_THR
+    lead, other = lead[open_], other[open_]
+    if len(lead):
+        joined = iou(boxes[lead], boxes[other]) >= MATCH_THR
+        for i, j in sorted(zip(lead[joined].tolist(), other[joined].tolist())):
+            joins[i].append(j)
+    return joins
 
 
 def _average_boxes(boxes):

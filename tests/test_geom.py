@@ -10,6 +10,8 @@ from bevtrack.geom import (
     RotatedBox,
     clip_polygon,
     iou,
+    iou_bound,
+    near_pairs,
     nms,
     polygon_area,
     to_global,
@@ -348,3 +350,102 @@ class TestIouMatchesScalarOracle:
     def test_nms_matches_greedy_oracle(self, dets, thr):
         # few distinct scores, so the tie-break decides often
         assert nms([b for b, _ in dets], [s for _, s in dets], thr) == greedy_nms(dets, thr)
+
+
+# ---------------------------------------------------------------------------
+# the clip-free bound: never below the oracle, and 0 across a separating box axis
+
+
+def assert_bounds_oracle(a, b):
+    want = scalar_iou(a, b)
+    for x, y in ((a, b), (b, a)):
+        assert float(iou_bound(x, y)) >= want, (x, y, want)
+    assert iou_bound(BoxSet([a, b]), BoxSet([b, a])).tolist() == [float(iou_bound(a, b)), float(iou_bound(b, a))]
+
+
+def turned(a, along, across, w, h, theta):
+    """A box at (along, across) in a's frame, of sides w and h, turned by theta from a."""
+    return RotatedBox(*to_global(along, across, a.cx, a.cy, a.theta), w, h, a.theta + theta)
+
+
+class TestIouBound:
+    def test_seeded_random_pairs(self):
+        rng = np.random.default_rng(0)
+        a, b = (
+            np.column_stack([rng.uniform(-4, 4, (20_000, 2)), rng.uniform(0.1, 6, (20_000, 2)), rng.uniform(-7, 7, 20_000)])
+            for _ in range(2)
+        )
+        bound, got = iou_bound(a, b), iou(a, b)
+        assert (bound >= got).all()
+        assert (got >= 0.5).sum() > 20 and ((bound < 0.5) & (got > 0.0)).sum() > 1_000  # both sides are reached
+        for i in np.flatnonzero(got > 0.0)[:300]:
+            assert_bounds_oracle(RotatedBox(*a[i]), RotatedBox(*b[i]))
+
+    @given(boxes, boxes)
+    def test_random_pairs(self, a, b):
+        assert_bounds_oracle(a, b)
+
+    @given(boxes, st.floats(0.01, 1.0), st.floats(0.01, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), heading)
+    def test_identical_and_nested(self, a, fw, fh, u, v, theta):
+        assert_bounds_oracle(a, a)
+        assert float(iou_bound(a, a)) >= 1.0
+        # a box inside a: a smaller box, turned, whose corners stay within a's sides
+        w, h = fw * a.w, fh * a.h
+        c, s = abs(math.cos(theta)), abs(math.sin(theta))
+        k = min(a.w / (c * w + s * h), a.h / (s * w + c * h), 1.0)
+        along, across = 0.5 * u * (a.h - k * (s * w + c * h)), 0.5 * v * (a.w - k * (c * w + s * h))
+        inner = turned(a, along, across, k * w, k * h, theta)
+        assert_bounds_oracle(a, inner)
+
+    @given(boxes, side, side, st.sampled_from([0.0, 0.5, 1.0, -1.0]), st.floats(-1.0, 1.0))
+    def test_edge_touching(self, a, w, h, lateral, slide):
+        along, across = (a.h + h) / 2.0, slide * (a.w + w) / 2.0
+        if lateral:
+            along, across = slide * (a.h + h) / 2.0, lateral * (a.w + w) / 2.0
+        assert_bounds_oracle(a, turned(a, along, across, w, h, 0.0))
+
+    @given(boxes, st.sampled_from([math.pi / 4, math.pi / 2, -math.pi / 4, 3 * math.pi / 4]),
+           st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+    def test_quarter_and_eighth_turns(self, a, theta, u, v):
+        assert_bounds_oracle(a, turned(a, u * a.h, v * a.w, a.w, a.h, theta))
+        assert_bounds_oracle(a, turned(a, u * a.h, v * a.w, a.h, a.w, theta))
+
+    @given(coord, coord, st.floats(0.001, 0.01), heading, st.floats(-0.02, 0.02), st.floats(-0.02, 0.02),
+           st.floats(-0.01, 0.01))
+    def test_slivers_of_1000_to_1(self, cx, cy, w, theta, along, across, turn):
+        a = RotatedBox(cx, cy, w, 1000.0 * w, theta)
+        for h in (1000.0 * w, w):  # a sliver against a sliver and against a square of its width
+            assert_bounds_oracle(a, turned(a, along * 1000.0 * w, across * w, w, h, turn))
+            assert_bounds_oracle(a, turned(a, along * 1000.0 * w, across * w, w, h, math.pi / 2 + turn))
+
+    @given(st.sampled_from([1e6, -1e6]), st.sampled_from([1e6, -1e6]), heading, st.floats(-0.02, 0.02),
+           st.floats(-0.02, 0.02), heading)
+    def test_centimetre_boxes_a_million_metres_out(self, x, y, theta, dx, dy, phi):
+        a = RotatedBox(x, y, 0.01, 0.01, theta)
+        assert_bounds_oracle(a, RotatedBox(x + dx, y + dy, 0.01, 0.01, phi))
+        assert_bounds_oracle(a, RotatedBox(x + dx, y + dy, 0.005, 0.01, theta))
+
+    @given(boxes, side, side, heading, st.sampled_from([0, 1, 2, 3]), st.floats(1e-6, 5.0), st.floats(-5.0, 5.0))
+    def test_zero_across_a_separating_box_axis(self, a, w, h, theta, axis, gap, slide):
+        # b clears a's side along one of a's four axis directions by gap; both orders are checked
+        c, s = abs(math.cos(theta)), abs(math.sin(theta))
+        reach = (a.h + c * h + s * w) / 2.0 if axis % 2 == 0 else (a.w + s * h + c * w) / 2.0
+        along, across = (reach + gap) * (1 if axis < 2 else -1), slide
+        if axis % 2:
+            along, across = across, along
+        b = turned(a, along, across, w, h, theta)
+        assert scalar_iou(a, b) == 0.0
+        assert float(iou_bound(a, b)) == 0.0 and float(iou_bound(b, a)) == 0.0
+
+
+class TestNearPairs:
+    @pytest.mark.parametrize("n", [0, 1, 2, 300])
+    def test_every_pair_whose_circles_meet(self, n):
+        rng = np.random.default_rng(n)
+        rows = np.column_stack([rng.uniform(-20, 20, (n, 2)), rng.uniform(0.5, 6, (n, 2)), rng.uniform(-4, 4, n)])
+        rows[1::7, 0] = rows[::7, 0][: len(rows[1::7])]  # ties in x
+        i, j = near_pairs(rows)
+        assert (i < j).all()
+        r = BoxSet(rows).data[:, 5]
+        meet = np.hypot(*(rows[:, None, :2] - rows[None, :, :2]).transpose(2, 0, 1)) <= r[:, None] + r[None]
+        assert sorted(zip(i.tolist(), j.tolist())) == list(zip(*np.nonzero(np.triu(meet, 1))))

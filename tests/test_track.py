@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from bevtrack import track
 from bevtrack.geom import RotatedBox, iou
 from bevtrack.net import Detection, DetectionSet
 from bevtrack.track import (
@@ -113,32 +115,72 @@ class TestFrameOrder:
         assert [r.status for r in d.step(ds(after_gap, []), after_gap)] == statuses
 
 
-def random_stream(rng, n_out, gaps):
-    """Frames of noisy, sometimes occluded or duplicated detections of a few moving objects."""
+def clutter(rng, n_out, count):
+    """About ``count`` eval-clutter-like detections over a 48 x 32 m scene.
+
+    Random sizes and headings; a fifth score in [0.9, 1), the rest in
+    [0.1, 0.5). A third come in pairs of equal boxes moved h/3 apart along
+    their long side, whose IoU (h - d) / (h + d) is within 1e-9 of 0.5.
+    """
+    dets = []
+    while len(dets) < count:
+        x, y, vx = rng.uniform(-24, 24), rng.uniform(-16, 16), rng.normal(0, 1)
+        w, h, theta = rng.uniform(0.5, 3.0), rng.uniform(1.0, 6.0), rng.uniform(-math.pi, math.pi)
+        pair = [(x, y)]
+        if rng.uniform() < 1 / 3:
+            d = h / 3.0 * (1.0 + rng.uniform(-2e-9, 2e-9))
+            pair.append((x + d * math.cos(theta), y + d * math.sin(theta)))
+        for px, py in pair:
+            score = rng.uniform(0.9, 1.0) if rng.uniform() < 0.2 else rng.uniform(0.1, 0.5)
+            dets.append(det(px, py, score=score, n_out=n_out, vx=vx, w=w, h=h, theta=theta))
+    return dets
+
+
+def random_stream(rng, n_out, gaps, cluttered=False):
+    """Frames of noisy, sometimes occluded or duplicated detections of a few moving objects.
+
+    The stream opens with an empty frame and a one-candidate frame. A
+    cluttered stream adds clutter to five frames, so each holds 100-400
+    candidates counting the buffered forecasts.
+    """
+    yield ds(0, [])
+    yield ds(1, [det(0.0, 0.0, n_out=n_out, vx=1.0)])
     n = int(rng.integers(1, 6))
     xs, ys, vxs = rng.uniform(-10, 10, n), rng.uniform(-10, 10, n), rng.normal(0, 1, n)
-    frame = 0
-    for _ in range(40):
+    frame = 2
+    emitted = []  # (frame, detections) of the cluttered frames
+    for k in range(40):
         dets = []
         for x, y, vx in zip(xs, ys, vxs):
             for _copy in range(int(rng.integers(0, 3))):
                 jx, jy = rng.normal(0, 0.5, 2)
                 dets.append(det(x + jx, y + jy, score=rng.uniform(0.05, 1), n_out=n_out, vx=vx + rng.normal(0, 0.3)))
+        if cluttered and 10 <= k < 15:
+            # earlier clutter comes back as forecasts while they reach the frame
+            back = sum(count for f, count in emitted if frame - f < n_out)
+            dets += clutter(rng, n_out, int(rng.integers(100, 401)) - back)
+            emitted.append((frame, len(dets)))
         yield ds(frame, dets)
         xs = xs + vxs
         frame += int(rng.integers(1, 4)) if gaps else 1
 
 
 @pytest.mark.parametrize("seed", range(30))
-def test_random_stream_keeps_ids_unique_and_coasts_at_most_n_out_minus_one(seed):
+def test_random_stream_keeps_ids_unique_and_coasts_at_most_n_out_minus_one(seed, monkeypatch):
     rng = np.random.default_rng(seed)
     n_out = 1 + seed % 5
     d = TrackletDecoder(n_out)
     pairwise = PairwiseTrackletDecoder(n_out)
+    calls = []
+    monkeypatch.setattr(track, "iou", lambda *args: calls.append(1) or iou(*args))
     last_live = {}
-    for s in random_stream(rng, n_out, gaps=seed % 3 == 0):
+    for s in random_stream(rng, n_out, gaps=seed % 3 == 0, cluttered=seed % 4 == 1):
+        calls.clear()
         out = d.step(s, s.frame)
+        assert len(calls) <= 1, f"frame {s.frame}: {len(calls)} iou calls in one step"
         assert out == pairwise.step(s, s.frame), f"frame {s.frame}: grouping differs from the pairwise oracle"
+        if s.frame == 0:
+            assert out == []
         ids = [r.track_id for r in out]
         assert len(ids) == len(set(ids)), f"frame {s.frame}: an id emitted twice"
         for r in out:
@@ -207,6 +249,22 @@ class TestIds:
         assert [(r.frame, r.track_id, r.status) for r in records] == [
             (r.frame, r.track_id, r.status) for r in manual
         ]
+
+
+class TestWork:
+    def test_far_apart_candidates_build_no_pair_arrays(self):
+        # 3,000 candidates whose x-extents do not overlap: an N x N float64
+        # array alone would take 72 MB, an N x N bool one 9 MB
+        frame = ds(0, [det(10.0 * i, 0.0) for i in range(3000)])
+        d = TrackletDecoder(n_out=3)
+        tracemalloc.start()
+        try:
+            out = d.step(frame, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 3000
+        assert peak < 8e6, f"{peak / 1e6:.1f} MB traced in one step"
 
 
 class TestHungarian:

@@ -291,9 +291,9 @@ def cmd_render(config: RunConfig, dataset_path, tracklets_path, out_dir):
     horizon = config.model.n_out
     for t in range(dataset.duration):
         pose = dataset.frames[t].pose
-        occ = voxelize(dataset.frames[t].points, grid).max(axis=0)
+        occ = voxelize(dataset.frames[t].points, grid).any(axis=0)
         img = np.zeros((grid.nx, grid.ny, 3), dtype=np.uint8)
-        img[occ > 0] = (90, 90, 90)
+        img[occ] = (90, 90, 90)
         for r in by_frame.get(t, []):
             color = _id_color(r.track_id)
             _draw_box(img, box_world_to_ego(r.box, pose), color, grid)

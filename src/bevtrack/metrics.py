@@ -355,7 +355,14 @@ def forecast_error(detection_sets, gt_tracks, horizons, match_iou=0.5):
 
 
 def write_report(path, entries):
-    """Structured metrics report: deterministic JSON, one object per metric."""
+    """Structured metrics report: deterministic JSON, one object per metric.
+
+    A NaN or inf value, which JSON cannot hold, raises ValueError before
+    anything is written.
+    """
+    try:
+        text = json.dumps(entries, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as e:
+        raise ValueError(f"report {path} holds a non-finite number ({e}); nothing written") from None
     with open(path, "w") as f:
-        json.dump(entries, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text + "\n")

@@ -186,9 +186,11 @@ def decode_boxes(anchors, codes):
     The leading axes of anchors and codes broadcast, as in :func:`encode_boxes`.
 
     Returns a ``[..., 5]`` box array; sizes decode first, then offsets. Size
-    codes are clamped to +-MAX_SIZE_CODE so no side overflows or vanishes.
-    exp and atan2 run through ``math`` value by value: numpy's differ from
-    them in the last bit, and decoded boxes must not depend on the batch.
+    codes are clamped to +-MAX_SIZE_CODE so no side overflows or vanishes,
+    but an extreme finite offset code still decodes to an infinite center,
+    without a warning: :func:`decode` drops such boxes. exp and atan2 run
+    through ``math`` value by value: numpy's differ from them in the last
+    bit, and decoded boxes must not depend on the batch.
     """
     anchors = np.asarray(anchors, dtype=np.float64)
     codes = np.asarray(codes, dtype=np.float64)
@@ -202,7 +204,8 @@ def decode_boxes(anchors, codes):
         [math.atan2(s, c) for s, c in zip(codes[..., 4].ravel().tolist(), codes[..., 5].ravel().tolist())],
         w.shape,
     )
-    return np.stack([anchors[..., 0] - codes[..., 0] * w, anchors[..., 1] - codes[..., 1] * h, w, h, theta], axis=-1)
+    with np.errstate(over="ignore"):
+        return np.stack([anchors[..., 0] - codes[..., 0] * w, anchors[..., 1] - codes[..., 1] * h, w, h, theta], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +276,9 @@ class Model:
         groups on a ``T.SparseField`` of the occupancy: each layer is its
         background (the network's value on an empty input) plus deltas at the
         cells an occupied voxel reaches, and only those cells are computed.
-        After them the field is written out densely.
+        After them the field is written out densely. The occupancy may be any
+        real-valued array; the voxelizer's is bool, and it is never copied
+        densely as float64.
         """
         cfg = self.config
         occ = inp.occupancy
@@ -333,8 +338,10 @@ def _written_out(field):
 def decode(output: HeadOutput, anchors: AnchorGrid, frame=0, score_thr=0.5, nms_thr=0.1):
     """Threshold, decode and suppress; survivors keep their full forecasts.
 
-    Anchors whose code holds a non-finite value are skipped. NMS runs on the
-    current-frame boxes alone, so only its survivors' forecasts are decoded.
+    Anchors whose code holds a non-finite value are skipped, and so are those
+    whose current-frame box decodes to one. NMS runs on the current-frame
+    boxes alone, so only its survivors' forecasts are decoded, and a survivor
+    with a non-finite forecast box is dropped.
     """
     if not (0.0 <= score_thr <= 1.0 and 0.0 <= nms_thr <= 1.0):
         raise ValueError("thresholds must lie in [0, 1]")
@@ -346,9 +353,11 @@ def decode(output: HeadOutput, anchors: AnchorGrid, frame=0, score_thr=0.5, nms_
         return DetectionSet(frame=frame)
     k, i, j = np.unravel_index(idx, (K, I, J))
     codes = output.reg[k, :, :, i, j]  # [candidates, n_out, 6]
-    kept = nms(decode_boxes(anchors.array[idx], codes[:, 0]), flat_scores[idx], nms_thr)
-    boxes = decode_boxes(anchors.array[idx[kept], None], codes[kept]).tolist()
+    current = decode_boxes(anchors.array[idx], codes[:, 0])
+    live = np.flatnonzero(np.isfinite(current).all(axis=1))
+    kept = live[nms(current[live], flat_scores[idx[live]], nms_thr)]
+    boxes = decode_boxes(anchors.array[idx[kept], None], codes[kept])
     return DetectionSet(frame=frame, detections=[
         Detection(score=float(flat_scores[idx[n]]), boxes=[RotatedBox(*b) for b in rows])
-        for n, rows in zip(kept, boxes)
+        for n, rows, ok in zip(kept, boxes.tolist(), np.isfinite(boxes).all(axis=(1, 2))) if ok
     ])

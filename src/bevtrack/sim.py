@@ -431,7 +431,7 @@ class GtObject:
 class Sample:
     """One training example: stacked occupancy plus its labeled objects."""
 
-    occupancy: np.ndarray  # [T, Z, X, Y]
+    occupancy: np.ndarray  # [T, Z, X, Y] bool
     objects: list  # of GtObject
 
 

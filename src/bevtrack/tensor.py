@@ -401,8 +401,13 @@ class SparseField(Tensor):
 
     @classmethod
     def of(cls, x):
-        """The field of a constant [C,T,H,W] array: zero background, a site wherever any channel is nonzero."""
-        xd = np.asarray(x, dtype=np.float64)
+        """The field of a constant [C,T,H,W] array: zero background, a site wherever any channel is nonzero.
+
+        The sites are found on the array as given, so a bool occupancy is
+        never copied densely as float64: only the deltas gathered at the sites
+        become float64, as every Tensor's data does.
+        """
+        xd = np.asarray(x)
         if xd.ndim != 4:
             raise TensorError(f"a sparse field is [C,T,H,W], got {xd.shape}")
         c, _, h, w = xd.shape
@@ -699,7 +704,12 @@ def save_checkpoint(path, params, config=None):
 
     Layout: magic, version, length-prefixed JSON header, then raw
     little-endian float64 data in header order. Byte-exact round trip.
+    A NaN or inf value raises TensorError, naming the first tensor that holds
+    one, before anything is written.
     """
+    for name, v in params.items():
+        if not np.isfinite(v).all():
+            raise TensorError(f"checkpoint tensor {name} holds a non-finite value; nothing written")
     header = {
         "version": CHECKPOINT_VERSION,
         "params": [{"name": k, "shape": list(v.shape)} for k, v in params.items()],

@@ -1,4 +1,4 @@
-"""Point clouds to binary occupancy tensors, with ego-motion compensation.
+"""Point clouds to binary occupancy, one bool per voxel, with ego-motion compensation.
 
 Past frames are re-expressed in the newest frame's ego coordinates (planar
 SE(2) motion), voxelized onto a fixed metric grid, and stacked along a
@@ -76,7 +76,7 @@ class GridSpec:
 
 @dataclass
 class InputTensor:
-    """4D binary occupancy [T, Z, X, Y]; the network input."""
+    """4D binary occupancy [T, Z, X, Y] as bool, one byte per voxel; the network input."""
 
     occupancy: np.ndarray
 
@@ -91,9 +91,8 @@ def transform_to_current(frame: LidarFrame, current_pose: Pose):
     return np.column_stack([x, y, pts[:, 2]])
 
 
-def voxelize(points, spec: GridSpec):
-    """Binary occupancy [Z, X, Y]; out-of-range points are dropped."""
-    grid = np.zeros((spec.nz, spec.nx, spec.ny))
+def _cells(points, spec: GridSpec):
+    """(z, x, y) index arrays of the grid cells that hold a point; out-of-range points are dropped."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     with np.errstate(over="ignore"):  # a far point divides to inf, which the range test drops
         fx = np.floor((pts[:, 0] - spec.x_range[0]) / spec.cell)
@@ -101,16 +100,24 @@ def voxelize(points, spec: GridSpec):
         fz = np.floor((pts[:, 2] - spec.z_range[0]) / spec.cell)
     # the range test runs on floats, so only cells inside the grid reach the int64 cast
     ok = (fx >= 0) & (fx < spec.nx) & (fy >= 0) & (fy < spec.ny) & (fz >= 0) & (fz < spec.nz)
-    grid[fz[ok].astype(np.int64), fx[ok].astype(np.int64), fy[ok].astype(np.int64)] = 1.0
+    return fz[ok].astype(np.int64), fx[ok].astype(np.int64), fy[ok].astype(np.int64)
+
+
+def voxelize(points, spec: GridSpec):
+    """Binary occupancy [Z, X, Y] as bool; out-of-range points are dropped."""
+    grid = np.zeros((spec.nz, spec.nx, spec.ny), dtype=bool)
+    grid[_cells(points, spec)] = True
     return grid
 
 
 def stack_temporal(frames, spec: GridSpec, n_expected=None):
-    """Compensate, voxelize and stack the last n frames (oldest first)."""
+    """Compensate, voxelize and stack the last n frames (oldest first) into one bool [T, Z, X, Y] array."""
     if not frames:
         raise ValueError("stack_temporal needs at least one frame")
     if n_expected is not None and len(frames) != n_expected:
         raise ValueError(f"expected {n_expected} frames, got {len(frames)}")
     current = frames[-1].pose
-    slices = [voxelize(transform_to_current(f, current), spec) for f in frames]
-    return InputTensor(occupancy=np.stack(slices, axis=0))
+    occupancy = np.zeros((len(frames), spec.nz, spec.nx, spec.ny), dtype=bool)
+    for slot, f in zip(occupancy, frames):
+        slot[_cells(transform_to_current(f, current), spec)] = True
+    return InputTensor(occupancy=occupancy)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import struct
 import tempfile
@@ -14,7 +15,7 @@ from bevtrack import cli, sim
 from bevtrack import tensor as T
 from bevtrack.cli import ConfigError, load_run_config, main
 from bevtrack.geom import RotatedBox
-from bevtrack.track import TrackletFrame, dump_tracklets
+from bevtrack.track import TrackletFrame, dump_tracklets, load_tracklets
 
 
 TINY = {
@@ -235,6 +236,27 @@ class TestPipelineCommands:
         assert set(report["clear_mot"]) == {"decoder", "hungarian"}
         assert (out / "tracklets.txt").read_text().startswith("#")
 
+    def test_head_decoding_to_non_finite_boxes_writes_finite_files(self, trained):
+        cfg, dataset, ckpt, tmp_path = trained
+        params, saved_cfg = T.load_checkpoint(ckpt)
+        params["head.reg.p.b"][0::6] = 1e308  # every x-offset code: finite, but its box center is not
+        params["head.cls.p.b"][:] = 50.0  # every anchor passes the threshold
+        extreme = tmp_path / "extreme.bin"
+        T.save_checkpoint(extreme, params, saved_cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run("--config", cfg, "--out", str(tmp_path / "e"), "eval", dataset, str(extreme)) == 0
+            assert run("--config", cfg, "--out", str(tmp_path / "t"), "track", dataset, str(extreme)) == 0
+            tracklets = str(tmp_path / "t" / "tracklets.txt")
+            assert run("--config", cfg, "--out", str(tmp_path / "r"), "render", dataset, "--tracklets", tracklets) == 0
+
+        def no_constant(name):
+            raise AssertionError(f"report holds {name}")
+
+        for report in (tmp_path / "e" / "detection_metrics.json", tmp_path / "t" / "tracking_metrics.json"):
+            json.loads(report.read_text(), parse_constant=no_constant)
+        assert all(math.isfinite(v) for r in load_tracklets(tracklets) for v in (r.box.cx, r.box.cy, r.score))
+
     def test_checkpoint_config_mismatch_rejected(self, trained, capsys):
         cfg, dataset, ckpt, tmp_path = trained
         out = tmp_path / "bad"
@@ -284,14 +306,40 @@ class TestLoadersFailClosed:
     def test_non_finite_checkpoint_ends_in_error(self, trained, capsys, value):
         cfg, dataset, ckpt, tmp_path = trained
         params, saved_cfg = T.load_checkpoint(ckpt)
-        params["head.cls.p.b"][0] = value
+        # save_checkpoint refuses a non-finite value, so a marker value's bytes are swapped in
+        marker = 0.123456789
+        params["head.cls.p.b"][0] = marker
         bad = tmp_path / "nan.bin"
         T.save_checkpoint(bad, params, saved_cfg)
+        blob = bad.read_bytes()
+        assert blob.count(struct.pack("<d", marker)) == 1
+        bad.write_bytes(blob.replace(struct.pack("<d", marker), struct.pack("<d", value)))
         with pytest.raises(T.TensorError, match="head.cls.p.b"):
             T.load_checkpoint(bad)
         assert run("--config", cfg, "--out", str(tmp_path / "e"), "eval", dataset, str(bad)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "head.cls.p.b" in err
+
+    def test_non_finite_parameters_end_train_in_error(self, cfg_path, tmp_path, capsys, monkeypatch):
+        def diverged(samples, model, *args, **kwargs):
+            model.params["g2.c1.b"][0] = np.inf
+            return model.params, []
+
+        monkeypatch.setattr(cli, "train", diverged)
+        run("--config", cfg_path, "--out", str(tmp_path / "d"), "generate")
+        out = tmp_path / "r"
+        assert run("--config", cfg_path, "--out", str(out), "train", str(tmp_path / "d" / "dataset.jsonl")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "g2.c1.b" in err
+        assert not (out / "checkpoint.bin").exists()
+
+    def test_non_finite_metric_ends_eval_in_error(self, trained, capsys, monkeypatch):
+        cfg, dataset, ckpt, tmp_path = trained
+        monkeypatch.setattr(cli, "evaluate_detection", lambda *args: {"ap_by_iou": {"0.5": float("nan")}})
+        out = tmp_path / "e"
+        assert run("--config", cfg, "--out", str(out), "eval", dataset, ckpt) == 1
+        assert capsys.readouterr().err.startswith("error: report")
+        assert not (out / "detection_metrics.json").exists()
 
     def test_directory_as_dataset_ends_in_error(self, cfg_path, tmp_path, capsys):
         assert run("--config", cfg_path, "--out", str(tmp_path / "r"), "render", str(tmp_path)) == 1

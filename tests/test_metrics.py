@@ -283,3 +283,10 @@ class TestConfigAndReport:
         write_report(p1, entries)
         write_report(p2, {"bins": {"0-10": 1.0}, "map": 0.5})
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_report_rejected_before_writing(self, tmp_path, value):
+        path = tmp_path / "r.json"
+        with pytest.raises(ValueError, match="non-finite"):
+            write_report(path, {"map": 0.5, "bins": {"0-10": value}})
+        assert not path.exists()

@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 import weakref
 from types import SimpleNamespace
 
@@ -351,6 +352,31 @@ def assert_sparse_matches_dense(model, occ, rtol=1e-12):
         assert np.abs(got - want).max() <= rtol * np.abs(want).max(), (np.abs(got - want).max(), np.abs(want).max())
 
 
+class TestBoolOccupancy:
+    """The voxelizer's bool occupancy and the same values as float64 give byte-equal outputs and gradients."""
+
+    @pytest.mark.parametrize("fusion,n_in", [("late", 5), ("late", 4), ("late", 3), ("late", 1), ("early", 5), ("early", 1)])
+    def test_bool_and_float_inputs_agree_bytewise(self, fusion, n_in):
+        grid = GridSpec((0.0, 9.6), (0.0, 6.4), (0.0, 0.4), 0.2)  # 48 x 32 cells
+        cfg = micro_config(grid=grid, fusion=fusion, n_in=n_in, widths=(3, 4, 3, 2))
+        model = with_random_biases(Model(cfg, seed=n_in), seed=7)
+        occ = edge_input(n_in, 2, 48, 32, seed=n_in).astype(bool)
+        rng = np.random.default_rng(0)
+        arrays = []
+        for x in (occ, occ.astype(np.float64)):
+            untaped, _, _ = model.forward(InputTensor(x))
+            tape = T.Tape()
+            taped, cls, reg = model.forward(InputTensor(x), tape=tape)
+            if not arrays:
+                weights = rng.standard_normal(cls.shape), rng.standard_normal(reg.shape)
+            T.backward(weighted_sum((cls, reg), weights), tape)
+            grads = [tape.param_grads[name] for name in sorted(tape.param_grads)]
+            arrays.append([untaped.cls, untaped.reg, taped.cls, taped.reg, cls.data, reg.data, *grads])
+        assert len(arrays[0]) == 6 + len(model.params)
+        for got, want in zip(*arrays):
+            assert got.dtype == want.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
 def weighted_sum(tensors, weights):
     """sum(w * t) over pairs, as a taped scalar."""
     loss = None
@@ -548,3 +574,23 @@ class TestDecode:
         wide, narrow = sorted((d.boxes[0] for d in out.detections), key=lambda b: -b.w)
         assert wide.w == pytest.approx(anchors.array[0, 2] * 1000.0)
         assert narrow.w == pytest.approx(anchors.array[1, 2] / 1000.0)
+
+    def test_a_box_that_decodes_non_finite_is_dropped(self):
+        # finite codes whose offsets overflow once scaled by the anchor's side
+        cfg = micro_config(n_out=2)
+        anchors = build_anchors(cfg)
+        K, I, J = anchors.shape
+        cls = np.zeros((K, I, J))
+        reg = np.zeros((K, cfg.n_out, CODE_SIZE, I, J))
+        reg[:, :, 5] = 1.0
+        cls[0, 0, 0] = 0.9  # current box at +-inf: must not suppress the next one
+        reg[0, 0, 0, 0, 0] = 1e308
+        cls[0, 0, 1] = 0.8  # same footprint as anchor 0's, kept
+        reg[0, :, :, 0, 1] = encode_boxes(anchors.array[1], anchors.array[0])
+        cls[0, 1, 1] = 0.7  # finite now, non-finite forecast: dropped after NMS
+        reg[0, 1, 1, 1, 1] = -1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = decode(HeadOutput(cls=cls, reg=reg), anchors, score_thr=0.5, nms_thr=0.5)
+        assert [d.score for d in out.detections] == [pytest.approx(0.8)]
+        assert all(math.isfinite(v) for b in out.detections[0].boxes for v in (b.cx, b.cy, b.w, b.h, b.theta))

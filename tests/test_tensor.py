@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -357,6 +358,22 @@ def dense_conv3d(x, w, b, pad):
 
 class TestFirstLayer:
     """conv3d over a constant occupancy (occupied sites only) against dense oracles."""
+
+    def test_field_of_a_bool_grid_makes_no_dense_float_copy(self):
+        occ = np.zeros((5, 8, 720, 400), dtype=bool)  # [T, Z, X, Y]: 144 x 80 m at 0.2 m, z 0-1.6 m
+        rng = np.random.default_rng(0)
+        occ[tuple(rng.integers(0, n, 2000) for n in occ.shape)] = True
+        tracemalloc.start()
+        try:
+            field = T.SparseField.of(occ.transpose(1, 0, 2, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a float64 copy of the grid takes 8 bytes a voxel (92 MB), a bool copy 1; the site mask over
+        # [T, X, Y] takes 1/8 byte a voxel
+        assert peak < occ.size // 4
+        assert np.array_equal(field.sites, np.flatnonzero(occ.any(axis=1)))
+        assert field.data.dtype == np.float64 and np.array_equal(field.data, occ.transpose(1, 0, 2, 3).reshape(8, -1)[:, field.sites])
 
     @pytest.mark.parametrize("n_in,kt", [(5, 3), (3, 3), (2, 2), (1, None)])
     @pytest.mark.parametrize("valued", [False, True])
@@ -936,6 +953,15 @@ class TestCheckpoint:
         path2 = tmp_path / "ck2.bin"
         T.save_checkpoint(path2, loaded, cfg)
         assert path.read_bytes() == path2.read_bytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected_before_writing(self, tmp_path, value):
+        params = {"a.w": np.ones((2, 3)), "b.b": np.ones(4), "c.b": np.full(2, np.nan)}
+        params["b.b"][2] = value
+        path = tmp_path / "ck.bin"
+        with pytest.raises(TensorError, match="tensor b.b holds a non-finite"):
+            T.save_checkpoint(path, params)
+        assert not path.exists()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -46,6 +46,7 @@ class TestVoxelize:
 
     def test_hand_indexing(self):
         g = voxelize([[0.1, 0.1, -1.9]], FULL_SCALE_GRID)
+        assert g.dtype == bool and g.shape == (29, 720, 400)
         assert g[0, 360, 200] == 1.0
         assert g.sum() == 1.0
 
@@ -123,6 +124,17 @@ class TestStackTemporal:
         out = stack_temporal([frame(pts)], self.small)
         assert out.occupancy.shape[0] == 1
         assert np.array_equal(out.occupancy[0], voxelize(pts, self.small))
+
+    def test_stack_is_bool_and_equals_the_voxelized_frames(self):
+        rng = np.random.default_rng(0)
+        frames = [
+            frame(rng.uniform([-5.0, -5.0, -0.2], [5.0, 5.0, 1.2], (300, 3)), pose=Pose(0.4 * t, -0.1 * t, 0.05 * t), t=t)
+            for t in range(5)
+        ]
+        out = stack_temporal(frames, self.small)
+        want = np.stack([voxelize(transform_to_current(f, frames[-1].pose), self.small) for f in frames])
+        assert out.occupancy.dtype == want.dtype == bool
+        assert np.array_equal(out.occupancy, want) and 0 < want.sum() < 5 * 300
 
     def test_static_world_aligns_after_compensation(self):
         # static point at world (2, 1); ego advances 0.5 m per frame

@@ -7,9 +7,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geom import BoxSet, iou
+from .track import linear_sum_assignment
 
 
 @dataclass

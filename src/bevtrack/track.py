@@ -7,7 +7,8 @@ through occlusion for a bounded number of frames. Grouping only asks whether
 an IoU reaches ``MATCH_THR``, so a frame clips, in one ``iou`` call, only the
 pairs whose bounding circles meet and whose clip-free ``geom.iou_bound``
 reaches it. A frame-to-frame Hungarian tracker over raw detections serves as
-the comparison baseline.
+the comparison baseline; its solver, :func:`linear_sum_assignment`, also
+serves CLEAR-MOT in ``metrics``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geom import BoxSet, RotatedBox, iou, iou_bound, near_pairs
 from .net import DetectionSet
@@ -182,6 +182,86 @@ def hungarian_track(detection_sets):
             )
         prev = current
     return records
+
+
+def linear_sum_assignment(cost):
+    """Rows and columns of a minimum-cost assignment of a 2-D cost matrix.
+
+    A port of scipy's ``linear_sum_assignment`` (Crouse's shortest
+    augmenting path, "On implementing 2D rectangular assignment algorithms",
+    IEEE TAES 2016) that makes scipy's choices among equally good matchings:
+    every column scan, tie-break, dual update and reduced cost follows its
+    ``rectangular_lsap`` in the same order. The smaller side is fully
+    assigned, and the rows come back in ascending order. A non-finite cost
+    raises ValueError.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.ndim != 2:
+        raise ValueError(f"expected a 2-D cost matrix, got shape {cost.shape}")
+    if not np.isfinite(cost).all():
+        raise ValueError("cost matrix holds a non-finite entry")
+    transpose = cost.shape[1] < cost.shape[0]
+    if transpose:
+        cost = cost.T
+    nr, nc = cost.shape
+    u, v = np.zeros(nr), np.zeros(nc)  # dual variables
+    spc = np.zeros(nc)  # each column's shortest path cost when the scan took it
+    path = np.full(nc, -1, dtype=np.intp)
+    col4row = np.full(nr, -1, dtype=np.intp)
+    row4col = np.full(nc, -1, dtype=np.intp)
+    for cur_row in range(nr):
+        # the shortest augmenting path from cur_row to a free column; the
+        # columns left to scan, their path costs and their duals share one order
+        cols = np.arange(nc - 1, -1, -1)  # reversed, so a constant cost gives the identity
+        costs = np.full(nc, np.inf)
+        v_cols = v[cols]
+        rows, taken = [], []
+        n_left = nc
+        min_val = 0.0
+        i = cur_row
+        sink = -1
+        while sink < 0:
+            rows.append(i)
+            left, c = cols[:n_left], costs[:n_left]
+            r = ((min_val + cost[i, left]) - u[i]) - v_cols[:n_left]
+            shorter = r < c
+            path[left[shorter]] = i
+            np.copyto(c, r, where=shorter)
+            # the first minimum, unless a later tied column is free: then the last of those
+            ties = (c == c.min()).nonzero()[0]
+            index = ties[0]
+            if len(ties) > 1:
+                free = ties[1:][row4col[left[ties[1:]]] < 0]
+                if len(free):
+                    index = free[-1]
+            min_val = c[index]
+            j = left[index]
+            spc[j] = min_val
+            taken.append(j)
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            n_left -= 1
+            cols[index], costs[index], v_cols[index] = cols[n_left], costs[n_left], v_cols[n_left]
+        # dual update
+        u[cur_row] += min_val
+        rows = np.array(rows[1:], dtype=np.intp)
+        u[rows] += min_val - spc[col4row[rows]]
+        taken = np.array(taken, dtype=np.intp)
+        v[taken] -= min_val - spc[taken]
+        # augment along the path
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    if transpose:
+        order = np.argsort(col4row)
+        return col4row[order], order
+    return np.arange(nr), col4row
 
 
 # ---------------------------------------------------------------------------

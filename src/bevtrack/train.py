@@ -8,10 +8,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .geom import iou
+from .geom import BoxSet, iou, iou_bound
 from .net import CODE_SIZE, AnchorGrid, Model, encode_boxes
 from .sim import GtObject, Sample
 from .voxel import InputTensor
+
+BOUND_PAIRS = 65536  # anchor x box pairs per iou_bound call in assign_targets
 
 
 @dataclass
@@ -53,9 +55,15 @@ def assign_targets(anchors: AnchorGrid, objects: list[GtObject], n_out, iou_thr=
     """Match anchors to ground truth on the current frame.
 
     Anchors overlapping a gt box above ``iou_thr`` become positive; every gt
-    left unmatched is force-assigned to its highest-IoU anchor. Positive
-    anchors carry encoded targets for each timestamp where the matched track
-    still exists.
+    left unmatched that some anchor overlaps is force-assigned to its
+    highest-IoU anchor, the lowest index among ties. Positive anchors carry
+    encoded targets for each timestamp where the matched track still exists.
+
+    Every anchor x box pair is bounded by ``geom.iou_bound``, in calls of at
+    most ``BOUND_PAIRS`` pairs so its temporaries stay small, and only the
+    pairs the bound leaves open are clipped: those bounded above
+    ``iou_thr`` for the positives, and a forced box's pairs as
+    :func:`_forced_anchor` reaches them.
     """
     K, I, J = anchors.shape
     n = K * I * J
@@ -68,14 +76,21 @@ def assign_targets(anchors: AnchorGrid, objects: list[GtObject], n_out, iou_thr=
         for obj in objects:
             if obj.boxes[0] is None:
                 raise ValueError(f"gt object {obj.track_id} lacks a current-frame box")
-        ious = iou(anchors.box_set[:, None], [obj.boxes[0] for obj in objects])
+        gt = BoxSet([obj.boxes[0] for obj in objects])
+        rows = max(1, BOUND_PAIRS // len(objects))  # anchors per iou_bound call
+        bound = np.concatenate([iou_bound(anchors.box_set[k : k + rows, None], gt) for k in range(0, n, rows)])
+        # a pair left unclipped has an IoU of at most iou_thr, so it decides no positive
+        ious = np.zeros(bound.shape)
+        a_open, m_open = np.nonzero(bound > iou_thr)
+        ious[a_open, m_open] = iou(anchors.box_set[a_open], gt[m_open])
         best_gt = ious.argmax(axis=1)
-        best_iou = ious[np.arange(n), best_gt]
-        pos = best_iou > iou_thr
+        pos = ious[np.arange(n), best_gt] > iou_thr
         matched[pos] = best_gt[pos]
         for m in range(len(objects)):
             if not np.any(matched == m):
-                matched[ious[:, m].argmax()] = m
+                a = _forced_anchor(anchors.box_set, gt[m], bound[:, m])
+                if a >= 0:  # a box no anchor overlaps stays unassigned
+                    matched[a] = m
         labels[matched >= 0] = 1.0
         # (anchor, timestamp) pairs with a box, all encoded at once
         a_idx, t_idx, gts = [], [], []
@@ -93,6 +108,31 @@ def assign_targets(anchors: AnchorGrid, objects: list[GtObject], n_out, iou_thr=
         targets=targets.reshape(K, I, J, n_out, CODE_SIZE).transpose(0, 3, 4, 1, 2),
         valid=valid.reshape(K, I, J, n_out).transpose(0, 3, 1, 2),
     )
+
+
+def _forced_anchor(anchor_set, box, bound):
+    """Index of the anchor whose IoU with ``box`` is highest, the lowest among ties; -1 if none overlaps it.
+
+    ``bound`` bounds each anchor's IoU from above. Anchors are clipped in
+    falling-bound order, in rounds that each clip one more anchor than all
+    the rounds before, but none whose bound is below the best IoU so far.
+    The rounds stop once the next bound falls below it, and anchors bounded
+    at 0 are never clipped.
+    """
+    order = np.argsort(-bound, kind="stable")[: np.count_nonzero(bound > 0.0)]
+    falling = bound[order]
+    clipped, values = [], []
+    best, k = 0.0, 0
+    while k < len(order) and falling[k] >= best:
+        stop = min(2 * k + 1, int(np.searchsorted(-falling, -best, side="right")))
+        clipped.append(order[k:stop])
+        values.append(iou(anchor_set[order[k:stop]], box))
+        best = max(best, values[-1].max())
+        k = stop
+    if best == 0.0:
+        return -1
+    clipped, values = np.concatenate(clipped), np.concatenate(values)
+    return int(clipped[values == best].min())
 
 
 def mine_hard_negatives(cls_scores, labels, ratio=3):

@@ -1,11 +1,12 @@
 """Slow reference implementations that the fast paths in bevtrack are tested against."""
 
+import itertools
 import math
 
 import numpy as np
 
 from bevtrack import tensor as T
-from bevtrack import net, track
+from bevtrack import geom, net, track, train
 from bevtrack.geom import MIN_INTERSECTION_AREA, RotatedBox, clip_polygon, polygon_area
 
 
@@ -119,6 +120,51 @@ class PairwiseTrackletDecoder(track.TrackletDecoder):
             self._buffer.extend((frame, tid, boxes, score) for boxes, score in current)
         self._buffer = [e for e in self._buffer if frame + 1 - e[0] < len(e[2])]
         return emitted
+
+
+def dense_assign_targets(anchors, objects, n_out, iou_thr=0.4):
+    """``train.assign_targets`` from one dense anchor x box IoU matrix: its oracle.
+
+    Anchors above ``iou_thr`` take their best box; each box left unmatched
+    then takes, in box order, its first highest-IoU anchor, when that IoU is
+    above 0.
+    """
+    K, I, J = anchors.shape
+    n = K * I * J
+    labels = np.zeros(n)
+    matched = np.full(n, -1, dtype=np.int64)
+    targets = np.zeros((n, n_out, net.CODE_SIZE))
+    valid = np.zeros((n, n_out))
+    if objects:
+        ious = geom.iou(anchors.box_set[:, None], [obj.boxes[0] for obj in objects])
+        best_gt = ious.argmax(axis=1)
+        pos = ious[np.arange(n), best_gt] > iou_thr
+        matched[pos] = best_gt[pos]
+        for m in range(len(objects)):
+            if not np.any(matched == m) and ious[:, m].max() > 0.0:
+                matched[ious[:, m].argmax()] = m
+        labels[matched >= 0] = 1.0
+        for a in np.flatnonzero(matched >= 0).tolist():
+            for t, box in enumerate(objects[matched[a]].boxes[:n_out]):
+                if box is not None:
+                    targets[a, t] = net.encode_boxes(anchors.array[a], [box.cx, box.cy, box.w, box.h, box.theta])
+                    valid[a, t] = 1.0
+    return train.TargetAssignment(
+        labels=labels.reshape(K, I, J),
+        targets=targets.reshape(K, I, J, n_out, net.CODE_SIZE).transpose(0, 3, 4, 1, 2),
+        valid=valid.reshape(K, I, J, n_out).transpose(0, 3, 1, 2),
+    )
+
+
+def exhaustive_assignment(cost):
+    """Least total cost over every injective map of the smaller side into the larger, up to 7 per side."""
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.shape[0] > cost.shape[1]:
+        cost = cost.T
+    nr, nc = cost.shape
+    if nr > 7 or nc > 7:
+        raise ValueError(f"exhaustive search is for up to 7 per side, got {cost.shape}")
+    return min(sum(cost[i, j] for i, j in enumerate(cols)) for cols in itertools.permutations(range(nc), nr))
 
 
 def mc_iou(a: RotatedBox, b: RotatedBox, samples=1_000_000, seed=0):

@@ -2,6 +2,9 @@
 ``src/`` defines nothing, constants included, that only tests use."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -75,3 +78,11 @@ def test_every_definition_is_used_outside_tests():
         if used[name] - names_used(node)[name] <= 0
     ]
     assert unused == []
+
+
+def test_cli_import_loads_no_scipy():
+    """bevtrack needs numpy alone: importing the CLI, which imports every module, loads no scipy."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, bevtrack.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

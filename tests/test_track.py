@@ -14,9 +14,10 @@ from bevtrack.track import (
     decode_tracklets,
     dump_tracklets,
     hungarian_track,
+    linear_sum_assignment,
     load_tracklets,
 )
-from oracles import PairwiseTrackletDecoder
+from oracles import PairwiseTrackletDecoder, exhaustive_assignment
 
 
 def det(cx, cy, score=1.0, n_out=3, vx=0.0, w=2.0, h=4.0, theta=0.0):
@@ -295,6 +296,60 @@ class TestHungarian:
         sets = [ds(0, [det(0, 0, n_out=1)]), ds(1, [det(10, 0, n_out=1)])]
         records = hungarian_track(sets)
         assert records[0].track_id != records[1].track_id
+
+
+def _cost_matrix(rng, kind, shape):
+    """A cost matrix of one of four kinds: uniform, small integers, 1 - sparse IoU, or tenths."""
+    if kind == "uniform":
+        return rng.uniform(size=shape)
+    if kind == "integers":
+        return rng.integers(0, 4, size=shape).astype(np.float64)
+    if kind == "sparse-iou":
+        return 1.0 - np.where(rng.uniform(size=shape) < 0.2, rng.uniform(size=shape), 0.0)
+    return np.round(rng.uniform(size=shape), 1)
+
+
+KINDS = ("uniform", "integers", "sparse-iou", "tenths")
+
+
+class TestLinearSumAssignment:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_optimal_against_exhaustive_search(self, kind):
+        rng = np.random.default_rng(KINDS.index(kind))
+        for _ in range(150):
+            cost = _cost_matrix(rng, kind, rng.integers(0, 8, size=2))
+            rows, cols = linear_sum_assignment(cost)
+            assert len(rows) == len(cols) == min(cost.shape)
+            assert list(rows) == sorted(set(rows.tolist())) and len(set(cols.tolist())) == len(cols)
+            assert cost[rows, cols].sum() == pytest.approx(exhaustive_assignment(cost), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_same_choices_as_scipy(self, kind):
+        # among equally good matchings, CLEAR-MOT and the Hungarian baseline depend on which one is chosen
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(10 + KINDS.index(kind))
+        shapes = [(0, 0), (0, 3), (3, 0)] + [tuple(rng.integers(1, 14, size=2)) for _ in range(800)]
+        for shape in shapes:
+            cost = _cost_matrix(rng, kind, shape)
+            ours, theirs = linear_sum_assignment(cost), scipy_optimize.linear_sum_assignment(cost)
+            assert [ours[0].tolist(), ours[1].tolist()] == [theirs[0].tolist(), theirs[1].tolist()], cost
+
+    def test_constant_cost_gives_the_identity(self):
+        rows, cols = linear_sum_assignment(np.ones((4, 6)))
+        assert rows.tolist() == cols.tolist() == [0, 1, 2, 3]
+        rows, cols = linear_sum_assignment(np.ones((6, 4)))
+        assert rows.tolist() == cols.tolist() == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cost_rejected(self, bad):
+        cost = np.ones((3, 2))
+        cost[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            linear_sum_assignment(cost)
+
+    def test_not_a_matrix_rejected(self):
+        with pytest.raises(ValueError, match="2-D"):
+            linear_sum_assignment(np.ones(3))
 
 
 class TestDump:

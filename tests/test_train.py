@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from bevtrack import tensor as T
+from bevtrack import train as train_module
 from bevtrack.geom import RotatedBox, iou
 from bevtrack.net import Model, ModelConfig, build_anchors
-from bevtrack.sim import GtObject, Sample
+from bevtrack.sim import GtObject, Sample, SimConfig, generate_dataset, make_samples
 from bevtrack.train import (
     TrainConfig,
     assign_targets,
@@ -17,7 +18,7 @@ from bevtrack.train import (
     train,
 )
 from bevtrack.voxel import GridSpec
-from oracles import scalar_encode_box
+from oracles import dense_assign_targets, scalar_encode_box
 
 
 MICRO_GRID = GridSpec((-1.6, 1.6), (-1.6, 1.6), (0.0, 0.4), 0.2)  # 16x16, Z=2
@@ -95,6 +96,66 @@ class TestAssign:
     def test_missing_current_box_rejected(self):
         with pytest.raises(ValueError, match="current-frame"):
             assign_targets(self.anchors, [GtObject(0, [None])], n_out=1)
+
+    def test_box_no_anchor_overlaps_stays_unassigned(self):
+        far = GtObject(track_id=0, boxes=[RotatedBox(40.0, -30.0, 2.0, 4.0, 0.3)])
+        a = assign_targets(self.anchors, [far], n_out=1)
+        assert a.labels.sum() == 0
+        assert a.valid.sum() == 0
+        # beside a box the grid holds, it changes nothing
+        near = GtObject(track_id=1, boxes=[RotatedBox(0.1, 0.1, 0.5, 0.5, 0.0)])
+        alone, both = assign_targets(self.anchors, [near], n_out=1), assign_targets(self.anchors, [far, near], n_out=1)
+        assert alone.labels.sum() == 1
+        for x, y in ((alone.labels, both.labels), (alone.targets, both.targets), (alone.valid, both.valid)):
+            assert np.array_equal(x, y)
+
+
+def _scene(name):
+    if name == "c05":
+        grid = GridSpec((-12.0, 12.0), (-8.0, 8.0), (0.0, 1.6), 0.2)
+        cfg = SimConfig(
+            seed=0, duration=32, n_vehicles=(2, 3), spawn_x=(-8, 8), spawn_y=(-5, 5),
+            speed=(0.0, 3.0), vehicle_width=(1.5, 2.5), vehicle_length=(3.0, 5.0),
+            max_spawn_retries=500,
+        )
+    else:  # a seeded 48 x 32 m scene with 14 vehicles
+        grid = GridSpec((-24.0, 24.0), (-16.0, 16.0), (0.0, 1.6), 0.2)
+        cfg = SimConfig(seed=int(name.split("-")[1]), duration=12, n_vehicles=(14, 14))
+    samples, _ = make_samples(generate_dataset(cfg), grid, 5, 5)
+    mcfg = ModelConfig(grid=grid, n_in=5, n_out=5, fusion="late", widths=(8, 16, 32, 64))
+    return build_anchors(mcfg), samples
+
+
+class TestAssignAgainstDense:
+    """Bounded clipping assigns exactly what the dense IoU matrix does."""
+
+    @pytest.mark.parametrize("scene", ["c05", "seed-0", "seed-1", "seed-2"])
+    def test_scene(self, scene):
+        anchors, samples = _scene(scene)
+        assert sum(len(s.objects) for s in samples) > 0
+        for s in samples:
+            a = assign_targets(anchors, s.objects, 5, 0.4)
+            d = dense_assign_targets(anchors, s.objects, 5, 0.4)
+            for x, y in ((a.labels, d.labels), (a.targets, d.targets), (a.valid, d.valid)):
+                assert x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("bound_pairs", [train_module.BOUND_PAIRS, 5])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_boxes(self, seed, bound_pairs, monkeypatch):
+        # small, thin, turned and far boxes, many of them forced; 5 pairs per bound call splits the anchors
+        monkeypatch.setattr(train_module, "BOUND_PAIRS", bound_pairs)
+        anchors = build_anchors(micro_model().config)
+        rng = np.random.default_rng(seed)
+        objects = [
+            GtObject(track_id=k, boxes=[RotatedBox(*rng.uniform(-2.5, 2.5, 2), *rng.uniform(0.1, 4.0, 2),
+                                                   rng.uniform(-math.pi, math.pi))])
+            for k in range(rng.integers(1, 9))
+        ]
+        for thr in (0.1, 0.4, 0.7):
+            a = assign_targets(anchors, objects, 1, thr)
+            d = dense_assign_targets(anchors, objects, 1, thr)
+            for x, y in ((a.labels, d.labels), (a.targets, d.targets), (a.valid, d.valid)):
+                assert x.tobytes() == y.tobytes()
 
 
 class TestMining:
